@@ -92,14 +92,10 @@ def cmd_enumerate(args) -> int:
         )
 
     if args.count_only:
-        if cls == "all":
-            count = oracle.class_census(n, cap=cap)["all"]
-        elif cls == "connected":
-            count = oracle.class_census(n, cap=cap)["connected"]
-        elif cls == "2connected":
-            count = oracle.class_census(n, cap=cap)["2connected"]
-        else:
+        if cls.startswith("k:"):
             count = oracle.k_connected_census(n, k, cap=cap)
+        else:
+            count = oracle.class_census(n, cap=cap)[cls]
         if args.format == "json":
             print(json.dumps({"n": n, "class": cls, "count": str(count)}))
         elif args.format == "csv":
@@ -198,12 +194,17 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_coupling(text: str) -> tuple[int, Fraction]:
-    k, _, lam = text.partition("=")
+def _parse(convert, text: str, expected: str):
+    """convert(text), with malformed input reported as a usage error."""
     try:
-        return int(k), Fraction(lam)
+        return convert(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad coupling {text!r}: expected K=RATIONAL") from None
+        raise UsageError(f"bad {expected}") from None
+
+
+def _coupling(text: str) -> tuple[int, Fraction]:
+    k, _, lam = text.partition("=")
+    return int(k), Fraction(lam)
 
 
 def cmd_qft(args) -> int:
@@ -214,10 +215,16 @@ def cmd_qft(args) -> int:
     if args.model == "phi3" and not args.coupling:
         action = qft.PHI3
     else:
-        couplings = dict(_parse_coupling(item) for item in args.coupling)
+        couplings = dict(
+            _parse(_coupling, item, f"coupling {item!r}: expected K=RATIONAL")
+            for item in args.coupling
+        )
         if not couplings:
             raise UsageError("custom actions need at least one --coupling K=RATIONAL")
-        action = qft.Action(Fraction(args.quadratic), couplings)
+        a = _parse(
+            Fraction, args.quadratic, f"quadratic {args.quadratic!r}: expected RATIONAL"
+        )
+        action = qft.Action(a, couplings)
     series = qft.partition_function(action, args.order)
     _emit_series(series, args.format)
     return 0
@@ -431,10 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

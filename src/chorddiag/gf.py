@@ -5,7 +5,8 @@ the root-removal relation 2xCC' = C(1+C) - x, which determines each new
 coefficient from the earlier ones by a direct linear solve; the two classic
 diagram relations D = 1 + C(xD^2) and D = 1 + xD + 2x^2 D' then serve as
 independent cross-checks. The 2-connected series comes from the functional
-relation C = C^2/x - C2(C^2/x) by reverting the inner series.
+relation C = C^2/x - C2(C^2/x): since t = C^2/x is tangent to the identity,
+C2(t) = t - C fixes each coefficient of C2 by integer back-substitution.
 
 All series are exact; results are memoized per (family, order) and safe to
 share, since PowerSeries values are immutable.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import PowerSeries
+from .series import PowerSeries, solve_composition
 
 DEFAULT_ORDER = 30
 
@@ -65,14 +66,14 @@ def connected_sq_div_x(order: int) -> PowerSeries:
 def series_two_connected(order: int) -> PowerSeries:
     """C2: coefficient n counts 2-connected diagrams on n chords.
 
-    Computed as (t - C) composed with the compositional inverse of
-    t = C^2/x, which solves C = t - C2(t) for C2.
+    The functional relation C = t - C2(t), with t = C^2/x, read as
+    C2(t) = t - C and solved for C2 on the integer coefficients.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    t = connected_sq_div_x(order)
-    c = series_connected(order)
-    return (t - c).compose(t.reverse())
+    t = [int(v) for v in connected_sq_div_x(order).coefficients]
+    u = [ti - int(ci) for ti, ci in zip(t, series_connected(order).coefficients)]
+    return PowerSeries(solve_composition(t, u, order))
 
 
 def series_connectivity_one(order: int) -> PowerSeries:

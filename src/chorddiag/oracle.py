@@ -38,6 +38,14 @@ class CapExceededError(ValueError):
     """Raised when an enumeration request exceeds the configured cap."""
 
 
+def _check_cap(what: str, n: int, cap: Optional[int]) -> None:
+    if cap is not None and n > cap:
+        raise CapExceededError(
+            f"{what} of n={n} exceeds the cap of {cap} chords "
+            f"((2n-1)!! diagrams); raise the cap explicitly to proceed"
+        )
+
+
 class ChordDiagram:
     """A rooted chord diagram, stored as its 1-based partner array."""
 
@@ -174,11 +182,7 @@ def enumerate_diagrams(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if cap is not None and n > cap:
-        raise CapExceededError(
-            f"enumeration of n={n} exceeds the cap of {cap} chords "
-            f"((2n-1)!! diagrams); raise the cap explicitly to proceed"
-        )
+    _check_cap("enumeration", n, cap)
     if n == 0:
         yield EMPTY_DIAGRAM
         return
@@ -457,11 +461,7 @@ def class_census(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if cap is not None and n > cap:
-        raise CapExceededError(
-            f"census of n={n} exceeds the cap of {cap} chords; "
-            f"raise the cap explicitly to proceed"
-        )
+    _check_cap("census", n, cap)
     if workers > 1 and root_partner == 0 and n >= 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -485,11 +485,7 @@ def k_connected_census(n: int, k: int, cap: Optional[int] = DEFAULT_CAP) -> int:
         raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if cap is not None and n > cap:
-        raise CapExceededError(
-            f"census of n={n} exceeds the cap of {cap} chords; "
-            f"raise the cap explicitly to proceed"
-        )
+    _check_cap("census", n, cap)
     return _census_impl.k_connected_count(n, k)
 
 

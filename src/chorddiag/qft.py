@@ -22,8 +22,8 @@ from math import factorial, isqrt
 from typing import Mapping
 
 from . import gf
-from .oracle import ChordDiagram, enumerate_diagrams, is_k_connected
-from .series import PowerSeries
+from .oracle import DEFAULT_CAP, ChordDiagram, enumerate_diagrams, is_k_connected
+from .series import PowerSeries, truncated_product
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,6 @@ def _sqrt_exact(value: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction], degree: int) -> list[Fraction]:
-    out = [Fraction(0)] * (degree + 1)
-    for i, a in enumerate(p):
-        if a == 0 or i > degree:
-            continue
-        for j, b in enumerate(q):
-            if i + j > degree:
-                break
-            if b:
-                out[i + j] += a * b
-    return out
-
-
 def partition_function(action: Action, order: int) -> PowerSeries:
     """The perturbative partition function as a series in hbar.
 
@@ -109,7 +96,7 @@ def partition_function(action: Action, order: int) -> PowerSeries:
     m_factorial = 1
     for m in range(0, 2 * n_max + 1):
         if m:
-            v_power = _poly_mul(v_power, v, degree)
+            v_power = truncated_product(v_power, v, degree)
             m_factorial *= m
             if all(c == 0 for c in v_power):
                 break
@@ -333,19 +320,18 @@ class BijectionReport:
         return not self.counterexamples
 
 
-def verify_bijection(n: int, cap: int | None = None) -> BijectionReport:
+def verify_bijection(n: int, cap: int | None = DEFAULT_CAP) -> BijectionReport:
     """Exhaustively check primitivity-of-image against 2-connectivity.
 
     For every diagram on n chords the graph image must be primitive exactly
     when the diagram is 2-connected; offending diagrams are reported in
-    text form.
+    text form. ``cap`` bounds n as in enumerate_diagrams (None lifts it).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     primitive = 0
     bad = []
-    diagrams = enumerate_diagrams(n) if cap is None else enumerate_diagrams(n, cap=cap)
-    for diagram in diagrams:
+    for diagram in enumerate_diagrams(n, cap=cap):
         image_primitive = is_primitive(chord_to_qed(diagram))
         if image_primitive:
             primitive += 1

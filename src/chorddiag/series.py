@@ -29,6 +29,40 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
 
 
+def truncated_product(a: Sequence, b: Sequence, n: int) -> list:
+    """Coefficients 0..n of the product of two coefficient lists.
+
+    Entries may be int or Fraction alike; integer inputs stay integers.
+    """
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai:
+            for j, bj in enumerate(b[: n + 1 - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def solve_composition(f: Sequence, u: Sequence, n: int) -> list:
+    """Coefficients 0..n of h with h(f) = u, for f tangent to the identity.
+
+    Since f^k = x^k + O(x^(k+1)), the x^k coefficient of what remains of u
+    after subtracting h_j * f^j for j < k is h_k: a triangular solve that
+    needs no division, so integer inputs give integer coefficients.
+    """
+    if f[0] != 0 or (n >= 1 and f[1] != 1):
+        raise ValueError("the inner series must have f0 = 0 and f1 = 1")
+    rest = list(u[: n + 1])
+    power = [1] + [0] * n
+    h = []
+    for k in range(n + 1):
+        h.append(rest[k])
+        for i in range(k + 1, n + 1):
+            rest[i] -= h[k] * power[i]
+        power = truncated_product(power, f, n)
+    return h
+
+
 class PowerSeries:
     """A formal power series truncated at a fixed order (inclusive)."""
 
@@ -161,17 +195,7 @@ class PowerSeries:
     def __mul__(self, other) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return PowerSeries(out)
+            return PowerSeries(truncated_product(self._coeffs, other._coeffs, n))
         if isinstance(other, (int, Fraction)):
             return PowerSeries([c * other for c in self._coeffs])
         return NotImplemented
@@ -249,37 +273,24 @@ class PowerSeries:
         return PowerSeries(out)
 
     def reverse(self) -> "PowerSeries":
-        """Compositional inverse g with self(g(x)) = x, via Newton lifting.
+        """Compositional inverse g with self(g(x)) = x.
 
-        Requires c0 = 0 and c1 != 0. The update
-        g <- g - (f(g) - x) / f'(g) doubles the number of correct
-        coefficients, so the working order is lifted level by level; a final
-        exact composition check validates the result to full order.
+        Requires c0 = 0 and c1 != 0. With F = self/c1, which is tangent to
+        the identity, g(x) = G(x/c1) where G solves G(F) = x, so
+        g_k = G_k / c1^k; an exact composition check validates the result.
         """
         if self._coeffs[0] != 0 or self.order < 1 or self._coeffs[1] == 0:
             raise ValueError(
                 "not reversible: need zero constant term and nonzero linear term"
             )
         n = self.order
-        g = PowerSeries([0, 1 / self._coeffs[1]], order=min(1, n))
-        correct = 1
-        while correct < n:
-            target = min(2 * correct + 1, n)
-            f_t = self.truncate(target)
-            g = PowerSeries(g.coefficients, order=target)
-            err = f_t.compose(g) - PowerSeries.x(target)
-            if not err.is_zero():
-                deriv = PowerSeries(f_t.derivative().coefficients, order=target)
-                g = g - err / deriv.compose(g)
-            correct = target
-        ident = PowerSeries.x(n)
-        deriv = PowerSeries(self.derivative().coefficients, order=n)
-        for _ in range(n.bit_length() + 2):
-            err = self.compose(g) - ident
-            if err.is_zero():
-                return g
-            g = g - err / deriv.compose(g)
-        raise AssertionError("reversion did not converge; preconditions violated?")
+        c1 = self._coeffs[1]
+        tangent = [c / c1 for c in self._coeffs]
+        solved = solve_composition(tangent, [0, 1] + [0] * (n - 1), n)
+        g = PowerSeries([h / c1**k for k, h in enumerate(solved)])
+        if self.compose(g) != PowerSeries.x(n):
+            raise AssertionError("reversion failed its exact composition check")
+        return g
 
     # -- analytic combinators ---------------------------------------------------
 

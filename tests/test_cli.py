@@ -257,3 +257,8 @@ class TestQft:
         code, _, err = run(capsys, "qft", "--coupling", "4:x", "--order", "1")
         assert code == 2
         assert "coupling" in err
+
+    def test_bad_quadratic(self, capsys):
+        code, _, err = run(capsys, "qft", "--quadratic", "1/0", "--coupling", "3=1")
+        assert code == 2
+        assert err.startswith("error:") and "quadratic" in err

@@ -127,10 +127,11 @@ class TestReverse:
         assert t.compose(t.reverse()) == PowerSeries.x(10)
 
     def test_two_connected_from_reversion(self):
-        t = gf.connected_sq_div_x(6)
-        c = gf.series_connected(6)
+        t = gf.connected_sq_div_x(40)
+        c = gf.series_connected(40)
         got = (t - c).compose(t.reverse())
-        assert coeffs(got) == [0, 0, 1, 1, 7, 63, 729]
+        assert coeffs(got)[:7] == [0, 0, 1, 1, 7, 63, 729]
+        assert got == gf.series_two_connected(40)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="not reversible"):
@@ -225,14 +226,14 @@ class TestProperties:
         assert lhs == rhs
 
     @given(
+        small_rationals.filter(bool),
         st.integers(min_value=3, max_value=25).flatmap(
-            lambda n: st.lists(
-                small_rationals, min_size=n - 1, max_size=n - 1
-            ).map(lambda tail: PowerSeries([0, 1] + tail))
-        )
+            lambda n: st.lists(small_rationals, min_size=n - 1, max_size=n - 1)
+        ),
     )
     @settings(max_examples=25, deadline=None)
-    def test_reversion_round_trip(self, f):
+    def test_reversion_round_trip(self, linear, tail):
+        f = PowerSeries([0, linear] + tail)
         g = f.reverse()
         ident = PowerSeries.x(f.order)
         assert f.compose(g) == ident
