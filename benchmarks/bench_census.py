@@ -7,10 +7,12 @@ diagrams on n chords is enumerated and classified by connectivity. Run
     python benchmarks/bench_census.py --max-n 7
 
 to see both kernels side by side (n = 8 is fine for the compiled kernel,
-slow in pure Python).
+slow in pure Python). Every row's counts are compared with the coefficients
+of the series D, C and C2; the exit status is 1 when any kernel disagrees.
 """
 
 import argparse
+import sys
 import time
 
 from chorddiag import _census_py
@@ -20,6 +22,7 @@ try:
 except ImportError:
     _census = None
 
+from chorddiag import gf
 from chorddiag.gf import double_factorial_odd
 
 
@@ -27,6 +30,26 @@ def time_call(fn, n: int) -> tuple[float, tuple]:
     started = time.perf_counter()
     result = fn(n)
     return time.perf_counter() - started, tuple(result)
+
+
+def expected_counts(n: int) -> tuple[int, int, int]:
+    """(all, connected, 2-connected) on n chords, read off the series."""
+    order = max(n, 2)
+    return tuple(
+        int(series(order)[n])
+        for series in (gf.series_all_diagrams, gf.series_connected, gf.series_two_connected)
+    )
+
+
+def check(kernel: str, n: int, counts: tuple) -> bool:
+    expected = expected_counts(n)
+    if counts != expected:
+        print(
+            f"error: {kernel} kernel at n={n} gave {counts}, series give {expected}",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
 def main() -> int:
@@ -41,13 +64,15 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    ok = True
     print(f"{'n':>3} {'diagrams':>12} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>9}")
     for n in range(args.min_n, args.max_n + 1):
         pure_time, pure_counts = time_call(_census_py.class_census, n)
+        ok &= check("pure", n, pure_counts)
         line = f"{n:>3} {double_factorial_odd(n):>12} {pure_time:>10.3f}"
         if _census is not None:
             fast_time, fast_counts = time_call(_census.class_census, n)
-            assert fast_counts == pure_counts, (n, fast_counts, pure_counts)
+            ok &= check("compiled", n, fast_counts)
             speedup = pure_time / fast_time if fast_time else float("inf")
             line += f" {fast_time:>13.3f} {speedup:>8.1f}x"
         else:
@@ -57,6 +82,7 @@ def main() -> int:
     if _census is not None and args.compiled_extra > 0:
         for n in range(args.max_n + 1, args.max_n + args.compiled_extra + 1):
             fast_time, counts = time_call(_census.class_census, n)
+            ok &= check("compiled", n, counts)
             print(
                 f"{n:>3} {double_factorial_odd(n):>12} {'skipped':>10} "
                 f"{fast_time:>13.3f}  (counts: all={counts[0]}, "
@@ -64,7 +90,7 @@ def main() -> int:
             )
     if _census is None:
         print("compiled kernel not built; install with Cython available to compare")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -5,9 +5,18 @@ rooted diagram on n chords (smallest free position matched first) and count
 connectivity classes with bitmask graph searches. Kept dependency-free and
 allocation-light so it stays usable up to n = 7 when the extension is not
 built.
+
+One walker, ``_walk``, places the chords and hands each finished diagram to
+a classifier. Chords are numbered by left endpoint, and each chord's
+crossing mask is kept current as chords are placed: when the smallest free
+position i is matched with j, the new chord crosses exactly the placed
+chords whose right endpoint lies in (i, j), so those bits are set on
+placement and cleared on backtrack. No leaf rebuilds a mask.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 def _closure(adj: list[int], mask: int, start: int) -> int:
@@ -33,38 +42,63 @@ def _connected_masked(adj: list[int], mask: int) -> bool:
     return _closure(adj, mask, low) == mask
 
 
-def _crossing_masks(partner: list[int], size: int) -> list[int]:
-    left = []
-    right = []
-    for i in range(size):
-        j = partner[i]
-        if i < j:
-            left.append(i)
-            right.append(j)
-    n = len(left)
+def _kept_after_removals(n: int, k: int) -> list[int]:
+    """Masks of the chords left after removing r of n chords, 1 <= r < min(k, n)."""
+    full = (1 << n) - 1
+    return [
+        full & ~sum(1 << c for c in removed)
+        for r in range(1, min(k - 1, n - 1) + 1)
+        for removed in combinations(range(n), r)
+    ]
+
+
+def _walk(n: int, root_partner: int, visit) -> None:
+    """Call ``visit(adj)`` once per diagram on n chords, in enumeration order.
+
+    ``adj[c]`` is the crossing mask of chord c (chords numbered by left
+    endpoint); the list is reused, so ``visit`` must not keep it.
+    ``root_partner`` (1-based position, 0 for unrestricted) pins the partner
+    of position 1.
+    """
+    size = 2 * n
+    owner = [-1] * size  # chord whose right endpoint sits at a position
     adj = [0] * n
-    for u in range(n):
-        au, bu = left[u], right[u]
-        for v in range(u + 1, n):
-            av, bv = left[v], right[v]
-            if au < av < bu < bv or av < au < bv < bu:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
 
+    def place(i: int, c: int) -> None:
+        while i < size and owner[i] >= 0:
+            i += 1
+        if i == size:
+            visit(adj)
+            return
+        bit = 1 << c
+        cross = 0
+        for j in range(i + 1, size):
+            d = owner[j]
+            if d >= 0:
+                cross |= 1 << d
+                continue
+            owner[j] = c
+            adj[c] = cross
+            m = cross
+            while m:
+                low = m & -m
+                adj[low.bit_length() - 1] |= bit
+                m ^= low
+            place(i + 1, c + 1)
+            m = cross
+            while m:
+                low = m & -m
+                adj[low.bit_length() - 1] ^= bit
+                m ^= low
+            owner[j] = -1
 
-def _popcount_masks(n: int, size: int):
-    """All n-bit masks with the given popcount, ascending (Gosper's hack)."""
-    if size == 0:
-        yield 0
-        return
-    mask = (1 << size) - 1
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
+    if root_partner:
+        if not 2 <= root_partner <= size:
+            raise ValueError(f"root partner must lie in 2..{size}")
+        owner[root_partner - 1] = 0
+        place(1, 1)
+    else:
+        place(0, 0)
 
 
 def class_census(n: int, root_partner: int = 0) -> tuple[int, int, int]:
@@ -75,87 +109,42 @@ def class_census(n: int, root_partner: int = 0) -> tuple[int, int, int]:
     """
     if n == 0:
         return (1, 0, 0)
-    size = 2 * n
-    partner = [-1] * size
     counts = [0, 0, 0]
     full = (1 << n) - 1
+    kept = _kept_after_removals(n, 2)
 
-    def classify() -> None:
+    def visit(adj: list[int]) -> None:
         counts[0] += 1
-        adj = _crossing_masks(partner, size)
         if not _connected_masked(adj, full):
             return
         counts[1] += 1
         if n < 2:
             return
-        for r in range(n):
-            if not _connected_masked(adj, full & ~(1 << r)):
+        for mask in kept:
+            if not _connected_masked(adj, mask):
                 return
         counts[2] += 1
 
-    def fill(first_free: int) -> None:
-        i = first_free
-        while i < size and partner[i] >= 0:
-            i += 1
-        if i == size:
-            classify()
-            return
-        for j in range(i + 1, size):
-            if partner[j] < 0:
-                partner[i] = j
-                partner[j] = i
-                fill(i + 1)
-                partner[i] = -1
-                partner[j] = -1
-
-    if root_partner:
-        if not 2 <= root_partner <= size:
-            raise ValueError(f"root partner must lie in 2..{size}")
-        partner[0] = root_partner - 1
-        partner[root_partner - 1] = 0
-        fill(1)
-    else:
-        fill(0)
+    _walk(n, root_partner, visit)
     return tuple(counts)
 
 
 def k_connected_count(n: int, k: int) -> int:
     """Count of k-connected diagrams on n chords (removal characterization)."""
-    if n == 0:
-        return 0
     if n < k:
         return 0
-    size = 2 * n
-    partner = [-1] * size
     count = 0
     full = (1 << n) - 1
-    removal_sizes = list(range(1, min(k - 1, n - 1) + 1))
+    kept = _kept_after_removals(n, k)
 
-    def classify() -> None:
+    def visit(adj: list[int]) -> None:
         nonlocal count
-        adj = _crossing_masks(partner, size)
         if not _connected_masked(adj, full):
             return
-        for r in removal_sizes:
-            for removed in _popcount_masks(n, r):
-                if not _connected_masked(adj, full & ~removed):
-                    return
+        for mask in kept:
+            if not _connected_masked(adj, mask):
+                return
         count += 1
 
-    def fill(first_free: int) -> None:
-        i = first_free
-        while i < size and partner[i] >= 0:
-            i += 1
-        if i == size:
-            classify()
-            return
-        for j in range(i + 1, size):
-            if partner[j] < 0:
-                partner[i] = j
-                partner[j] = i
-                fill(i + 1)
-                partner[i] = -1
-                partner[j] = -1
-
-    fill(0)
+    _walk(n, 0, visit)
     return count

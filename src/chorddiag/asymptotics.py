@@ -13,7 +13,7 @@ two-term arctan formula pi = 16*atan(1/5) - 4*atan(1/239) (alternating, so
 the remainder is below the first omitted term), square roots from integer
 square roots of scaled values. Everything is computed with ten guard digits,
 which keeps the relative error of a rendered value far below half an ulp of
-its last displayed digit.
+its last displayed digit, and each constant is computed once per precision.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -45,7 +46,7 @@ class HighPrecisionDecimal:
     digits: int
 
     def to_decimal_string(self, digits: int | None = None) -> str:
-        return format_significant(self.value, digits or self.digits)
+        return format_significant(self.value, self.digits if digits is None else digits)
 
     def __str__(self) -> str:
         return self.to_decimal_string()
@@ -86,6 +87,7 @@ def format_significant(value: Fraction, digits: int) -> str:
     return f"{sign}{text[0]}.{text[1:]}e{exponent}"
 
 
+@lru_cache
 def _exp_fraction(q: Fraction, digits: int) -> Fraction:
     """e^q for rational q, with relative error below 10^-digits.
 
@@ -118,10 +120,6 @@ def _arctan_inverse(m: int, digits: int) -> Fraction:
         k += 1
 
 
-def _pi_fraction(digits: int) -> Fraction:
-    return 16 * _arctan_inverse(5, digits + 2) - 4 * _arctan_inverse(239, digits + 2)
-
-
 def _sqrt_fraction(value: Fraction, digits: int) -> Fraction:
     """sqrt by integer square root of the value scaled by 10^(2*extra)."""
     if value < 0:
@@ -130,6 +128,13 @@ def _sqrt_fraction(value: Fraction, digits: int) -> Fraction:
     scaled = value * Fraction(10) ** (2 * extra)
     root = isqrt(scaled.numerator // scaled.denominator)
     return Fraction(root, 10**extra)
+
+
+@lru_cache
+def _sqrt_two_pi(digits: int) -> Fraction:
+    """sqrt(2*pi) to ``digits`` digits, with pi = 16*atan(1/5) - 4*atan(1/239)."""
+    pi = 16 * _arctan_inverse(5, digits + 2) - 4 * _arctan_inverse(239, digits + 2)
+    return _sqrt_fraction(2 * pi, digits)
 
 
 def const_e(digits: int) -> HighPrecisionDecimal:
@@ -143,8 +148,7 @@ def const_sqrt_two_pi(digits: int) -> HighPrecisionDecimal:
     """sqrt(2*pi) to the requested number of significant digits."""
     if digits < 1:
         raise ValueError("digits must be positive")
-    work = digits + GUARD_DIGITS
-    return HighPrecisionDecimal(_sqrt_fraction(2 * _pi_fraction(work), work), digits)
+    return HighPrecisionDecimal(_sqrt_two_pi(digits + GUARD_DIGITS), digits)
 
 
 def _transcendental_factor(image: AsymptoticImage, digits: int) -> Fraction:
@@ -154,8 +158,7 @@ def _transcendental_factor(image: AsymptoticImage, digits: int) -> Fraction:
     factor = _exp_fraction(Fraction(image.e_exp), work)
     residual = image.sqrt_two_pi_exp + 1
     if residual:
-        root = _sqrt_fraction(2 * _pi_fraction(work), work)
-        factor *= root**residual
+        factor *= _sqrt_two_pi(work) ** residual
     return factor
 
 
@@ -168,6 +171,8 @@ def estimate(
     expansion point must satisfy n - terms >= 0; below n - terms < 5 the
     scale degenerates and a warning is issued.
     """
+    if digits < 1:
+        raise ValueError("digits must be positive")
     if terms < 1 or terms > image.series.order + 1:
         raise ValueError(
             f"terms must lie in 1..{image.series.order + 1} (coefficients computed)"

@@ -27,6 +27,8 @@ DEFAULT_DIGITS = 30
 DEFAULT_CAP = oracle.DEFAULT_CAP
 HARD_CAP = oracle.HARD_CAP
 CAP_ENV_VAR = "CHORDDIAG_CAP"
+SERIES_CSV_HEADER = ["index", "num", "den"]
+CLASS_K = {"all": 0, "connected": 1, "2connected": 2}
 
 
 class UsageError(Exception):
@@ -50,15 +52,26 @@ def _rational_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _emit_series(f: PowerSeries, fmt: str) -> None:
+def _emit(fmt: str, record, header, rows, plain) -> None:
+    """Print ``record`` as JSON, ``header`` and ``rows`` as CSV, or ``plain``."""
     if fmt == "json":
-        print(json.dumps(series_to_json_dict(f)))
+        print(json.dumps(record))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["index", "num", "den"])
-        writer.writerows(series_to_csv_rows(f))
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        print(", ".join(_rational_str(c) for c in f.coefficients))
+        print(plain)
+
+
+def _emit_series(f: PowerSeries, fmt: str) -> None:
+    _emit(
+        fmt,
+        series_to_json_dict(f),
+        SERIES_CSV_HEADER,
+        series_to_csv_rows(f),
+        ", ".join(_rational_str(c) for c in f.coefficients),
+    )
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -72,53 +85,27 @@ def cmd_series(args) -> int:
 
 def cmd_enumerate(args) -> int:
     cap = configured_cap()
-    n = args.chords
-    if n > cap:
-        raise UsageError(
-            f"n={n} exceeds the enumeration cap {cap}; "
-            f"set {CAP_ENV_VAR} (max {HARD_CAP}) to opt in"
-        )
-    cls = args.cls
-    if cls.startswith("k:"):
-        try:
-            k = int(cls[2:])
-        except ValueError:
-            raise UsageError(f"bad class {cls!r}: expected k:<integer>") from None
+    n, cls = args.chords, args.cls
+    if cls in CLASS_K:
+        k = CLASS_K[cls]  # 0 selects every diagram
+    elif cls.startswith("k:"):
+        k = _parse(int, cls[2:], f"class {cls!r}: expected k:<integer>")
         if k < 1:
             raise UsageError("k must be at least 1")
-    elif cls not in ("all", "connected", "2connected"):
+    else:
         raise UsageError(
             f"unknown class {cls!r}: choose all, connected, 2connected or k:K"
         )
-
     if args.count_only:
-        if cls.startswith("k:"):
+        if k:
             count = oracle.k_connected_census(n, k, cap=cap)
         else:
-            count = oracle.class_census(n, cap=cap)[cls]
-        if args.format == "json":
-            print(json.dumps({"n": n, "class": cls, "count": str(count)}))
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["n", "class", "count"])
-            writer.writerow([n, cls, count])
-        else:
-            print(count)
+            count = oracle.class_census(n, cap=cap)["all"]
+        record = {"n": n, "class": cls, "count": str(count)}
+        _emit(args.format, record, ["n", "class", "count"], [[n, cls, count]], count)
         return 0
-
-    def selected(diagram) -> bool:
-        if cls == "all":
-            return True
-        if diagram.n == 0:
-            return False
-        if cls == "connected":
-            return oracle.is_connected(diagram)
-        if cls == "2connected":
-            return oracle.is_k_connected(diagram, 2)
-        return oracle.is_k_connected(diagram, k)
-
     for diagram in oracle.enumerate_diagrams(n, cap=cap):
-        if selected(diagram):
+        if k == 0 or (diagram.n and oracle.is_k_connected(diagram, k)):
             print(diagram.to_text())
     return 0
 
@@ -129,30 +116,23 @@ def cmd_alien(args) -> int:
         if args.family == "C"
         else alien.alien_two_connected(args.order)
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "e_exp": {
-                        "num": str(image.e_exp.numerator),
-                        "den": str(image.e_exp.denominator),
-                    },
-                    "sqrt_two_pi_exp": image.sqrt_two_pi_exp,
-                    "series": series_to_json_dict(image.series),
-                }
-            )
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["index", "num", "den"])
-        writer.writerows(series_to_csv_rows(image.series))
-    else:
-        print(
-            f"prefactor: e^{_rational_str(image.e_exp)} "
-            f"* (2*pi)^({image.sqrt_two_pi_exp}/2)"
-        )
-        print(", ".join(_rational_str(c) for c in image.series.coefficients))
+    record = {
+        "family": args.family,
+        "e_exp": {
+            "num": str(image.e_exp.numerator),
+            "den": str(image.e_exp.denominator),
+        },
+        "sqrt_two_pi_exp": image.sqrt_two_pi_exp,
+        "series": series_to_json_dict(image.series),
+    }
+    plain = (
+        f"prefactor: e^{_rational_str(image.e_exp)} "
+        f"* (2*pi)^({image.sqrt_two_pi_exp}/2)\n"
+        + ", ".join(_rational_str(c) for c in image.series.coefficients)
+    )
+    _emit(
+        args.format, record, SERIES_CSV_HEADER, series_to_csv_rows(image.series), plain
+    )
     return 0
 
 
@@ -288,6 +268,7 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_chain_rule(order: int, cap: int) -> list[tuple[str, bool, str]]:
+    order = max(order, 6)
     report = alien.verify_derivation_chain(order)
     return [
         (
@@ -352,13 +333,8 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
-        order = args.order
-        if name == "chain-rule":
-            order = max(order, 6)
-        if name == "bijection":
-            order = min(args.order, 6) if args.suite != "all" else 6
         started = time.perf_counter()
-        for label, ok, detail in SUITES[name](order, cap):
+        for label, ok, detail in SUITES[name](args.order, cap):
             status = "PASS" if ok else "FAIL"
             suffix = f"  [{detail}]" if detail and not ok else ""
             print(f"{status} {label}{suffix}")
@@ -440,6 +416,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, oracle.CapExceededError):
+            print(
+                f"set {CAP_ENV_VAR} (at most {HARD_CAP}) to raise the cap",
+                file=sys.stderr,
+            )
         return 2
 
 

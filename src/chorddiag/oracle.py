@@ -137,14 +137,12 @@ class IntersectionGraph:
 
     def __init__(self, diagram: ChordDiagram):
         self.chords = diagram.chords()
-        n = len(self.chords)
-        adj = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if crossing(self.chords[i], self.chords[j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
-        self.adjacency = tuple(frozenset(s) for s in adj)
+        adj = [set() for _ in self.chords]
+        for (i, a), (j, b) in combinations(enumerate(self.chords), 2):
+            if crossing(a, b):
+                adj[i].add(j)
+                adj[j].add(i)
+        self.adjacency = tuple(map(frozenset, adj))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -155,14 +153,20 @@ class IntersectionGraph:
         )
 
     def is_connected(self) -> bool:
+        return self._connected_without(())
+
+    def _connected_without(self, removed) -> bool:
+        """True when the chords outside ``removed`` are a non-empty connected set."""
         n = len(self.chords)
-        if n == 0:
+        start = 0
+        while start in removed:
+            start += 1
+        if start >= n:
             return False
-        seen = {0}
-        stack = [0]
+        seen = {start, *removed}
+        stack = [start]
         while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
+            for v in self.adjacency[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -221,20 +225,6 @@ def is_connected(diagram: ChordDiagram) -> bool:
     return IntersectionGraph(diagram).is_connected()
 
 
-def _connected_chord_subset(chords, keep) -> bool:
-    if not keep:
-        return False
-    seen = {keep[0]}
-    stack = [keep[0]]
-    while stack:
-        u = stack.pop()
-        for v in keep:
-            if v not in seen and crossing(chords[u], chords[v]):
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(keep)
-
-
 def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     """True when no removal of fewer than k chords disconnects the diagram.
 
@@ -249,15 +239,14 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     n = diagram.n
     if n < k:
         return False
-    chords = diagram.chords()
-    if not _connected_chord_subset(chords, tuple(range(n))):
+    graph = IntersectionGraph(diagram)
+    if not graph.is_connected():
         return False
-    for r in range(1, min(k - 1, n - 1) + 1):
-        for removed in combinations(range(n), r):
-            keep = tuple(i for i in range(n) if i not in removed)
-            if not _connected_chord_subset(chords, keep):
-                return False
-    return True
+    return all(
+        graph._connected_without(removed)
+        for r in range(1, min(k - 1, n - 1) + 1)
+        for removed in combinations(range(n), r)
+    )
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,10 @@ class TestConstants:
     def test_digit_validation(self):
         with pytest.raises(ValueError):
             const_e(0)
+        with pytest.raises(ValueError):
+            HighPrecisionDecimal(Fraction(22, 7), 5).to_decimal_string(0)
+        with pytest.raises(ValueError):
+            estimate(alien_two_connected(2), 10, 3, digits=0)
 
 
 class TestFormatting:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from chorddiag import oracle
 from chorddiag.cli import main
 from chorddiag.series import series_from_json_dict
 
@@ -96,13 +95,14 @@ class TestEnumerate:
         assert out.splitlines() == ["2: 2 1 4 3", "2: 3 4 1 2", "2: 4 3 2 1"]
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--chords", "9", "--count-only")
-        assert code == 2
-        assert "cap" in err
+        for extra in (["--count-only"], []):
+            code, out, err = run(capsys, "enumerate", "--chords", "9", *extra)
+            assert code == 2
+            assert out == ""
+            assert "cap" in err
+            assert "CHORDDIAG_CAP" in err
 
     def test_env_raises_cap(self, capsys, monkeypatch):
-        if oracle.census_backend() != "compiled":
-            pytest.skip("n=7 census without the compiled kernel is slow")
         monkeypatch.setenv("CHORDDIAG_CAP", "7")
         code, out, _ = run(
             capsys,
@@ -116,6 +116,13 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--chords", "4", "--count-only")
         assert code == 2
         assert "1..10" in err
+
+    @pytest.mark.parametrize("k_class, named", [("k:1", "connected"), ("k:2", "2connected")])
+    def test_k_class_listing_matches_named_class(self, capsys, k_class, named):
+        _, by_k, _ = run(capsys, "enumerate", "--chords", "4", "--class", k_class)
+        _, by_name, _ = run(capsys, "enumerate", "--chords", "4", "--class", named)
+        assert by_k == by_name
+        assert len(by_k.splitlines()) == {"connected": 27, "2connected": 7}[named]
 
     def test_bad_class(self, capsys):
         code, _, err = run(capsys, "enumerate", "--chords", "3", "--class", "nope")
@@ -148,6 +155,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "bijection", "--order", "5")
         assert code == 0
         assert out.count("PASS") == 4  # n = 2..5
+
+    def test_all_uses_each_suite_order(self, capsys):
+        def bijection_lines(suite):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--order", "4")
+            assert code == 0
+            return [line for line in out.splitlines() if "bijection: n=" in line]
+
+        lines = bijection_lines("bijection")
+        assert len(lines) == 3  # n = 2..4
+        assert bijection_lines("all") == lines
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         from chorddiag import cli
@@ -221,6 +238,17 @@ class TestEstimate:
         )
         assert code == 2
         assert "n-to" in err
+
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_validation(self, capsys, digits):
+        code, out, err = run(
+            capsys,
+            "estimate", "--family", "C2", "--terms", "1",
+            "--n-from", "6", "--n-to", "6", "--digits", digits,
+        )
+        assert code == 2
+        assert out == ""
+        assert "digits must be positive" in err
 
 
 class TestQft:

@@ -311,6 +311,9 @@ class TestCensusBackends:
             oracle.class_census(4, root_partner=rp)["all"] for rp in range(2, 9)
         )
         assert total == 105
+        for n in range(1, 7):
+            parts = [py_class_census(n, rp) for rp in range(2, 2 * n + 1)]
+            assert tuple(map(sum, zip(*parts))) == py_class_census(n)
 
     def test_concurrent_partitions_reduce_to_same_counts(self):
         assert oracle.class_census(5, workers=4) == oracle.class_census(5)
