@@ -89,7 +89,10 @@ def main() -> int:
                 f"connected={counts[1]}, 2connected={counts[2]})"
             )
     if _census is None:
-        print("compiled kernel not built; install with Cython available to compare")
+        print(
+            "compiled kernel not built; run `python setup.py build_ext --inplace` "
+            "with a C compiler to compare"
+        )
     return 0 if ok else 1
 
 

@@ -1,30 +1,19 @@
 """Build script: compiles the optional census kernel.
 
 The package works without the extension (a pure-Python kernel is selected
-at import time); set CHORDDIAG_NO_EXT=1 to skip compilation entirely.
+at import time), so the extension is optional: without a working C compiler
+setuptools warns and skips it.
 """
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if os.environ.get("CHORDDIAG_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "chorddiag._census",
-                    ["src/chorddiag/_census.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            language_level=3,
+setup(
+    ext_modules=[
+        Extension(
+            "chorddiag._census",
+            ["src/chorddiag/_census.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,13 +1,14 @@
 """Pure-Python census kernel.
 
-Same contract as the compiled twin in ``_census.pyx``: enumerate every
+Same contract as the compiled twin in ``_census.c``: enumerate every
 rooted diagram on n chords (smallest free position matched first) and count
 connectivity classes with bitmask graph searches. Kept dependency-free and
 allocation-light so it stays usable up to n = 7 when the extension is not
 built.
 
 One walker, ``_walk``, places the chords and hands each finished diagram to
-a classifier. Chords are numbered by left endpoint, and each chord's
+one classifier, which gives it the highest j <= k for which it is
+j-connected. Chords are numbered by left endpoint, and each chord's
 crossing mask is kept current as chords are placed: when the smallest free
 position i is matched with j, the new chord crosses exactly the placed
 chords whose right endpoint lies in (i, j), so those bits are set on
@@ -16,7 +17,7 @@ placement and cleared on backtrack. No leaf rebuilds a mask.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 
 def _closure(adj: list[int], mask: int, start: int) -> int:
@@ -101,50 +102,43 @@ def _walk(n: int, root_partner: int, visit) -> None:
         place(0, 0)
 
 
+def _census(n: int, k: int, root_partner: int = 0) -> list[int]:
+    """Counts of the j-connected diagrams on n chords, for j = 0..k.
+
+    Each diagram is classified once, by the highest j <= k for which it is
+    connected, has at least j chords, and survives every removal of fewer
+    than j chords.
+    """
+    full = (1 << n) - 1
+    kept = _kept_after_removals(n, k)  # ascending in the number removed
+    top = min(k, n)
+    by_level = [0] * (k + 1)
+
+    def visit(adj: list[int]) -> None:
+        if not _connected_masked(adj, full):
+            by_level[0] += 1
+            return
+        for mask in kept:
+            if not _connected_masked(adj, mask):
+                by_level[n - mask.bit_count()] += 1
+                return
+        by_level[top] += 1
+
+    _walk(n, root_partner, visit)
+    return list(accumulate(reversed(by_level)))[::-1]
+
+
 def class_census(n: int, root_partner: int = 0) -> tuple[int, int, int]:
     """(total, connected, 2-connected) over all diagrams on n chords.
 
     ``root_partner`` (1-based position, 0 for unrestricted) pins the partner
     of position 1, partitioning the enumeration.
     """
-    if n == 0:
-        return (1, 0, 0)
-    counts = [0, 0, 0]
-    full = (1 << n) - 1
-    kept = _kept_after_removals(n, 2)
-
-    def visit(adj: list[int]) -> None:
-        counts[0] += 1
-        if not _connected_masked(adj, full):
-            return
-        counts[1] += 1
-        if n < 2:
-            return
-        for mask in kept:
-            if not _connected_masked(adj, mask):
-                return
-        counts[2] += 1
-
-    _walk(n, root_partner, visit)
-    return tuple(counts)
+    return tuple(_census(n, 2, root_partner))
 
 
 def k_connected_count(n: int, k: int) -> int:
     """Count of k-connected diagrams on n chords (removal characterization)."""
     if n < k:
         return 0
-    count = 0
-    full = (1 << n) - 1
-    kept = _kept_after_removals(n, k)
-
-    def visit(adj: list[int]) -> None:
-        nonlocal count
-        if not _connected_masked(adj, full):
-            return
-        for mask in kept:
-            if not _connected_masked(adj, mask):
-                return
-        count += 1
-
-    _walk(n, 0, visit)
-    return count
+    return _census(n, k)[k]

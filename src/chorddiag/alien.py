@@ -174,11 +174,10 @@ def alien_compose(
     term1 = AsymptoticImage(
         g_image.e_exp,
         g_image.sqrt_two_pi_exp,
-        f.derivative().compose(g.truncate(min(g.order, f.order - 1)))
-        * g_image.series,
+        f.derivative().compose(g) * g_image.series,
     )
     const, transport = _exp_transport_factor(g, alpha, beta)
-    composed = f_image.series.compose(g.truncate(min(g.order, f_image.series.order)))
+    composed = f_image.series.compose(g)
     term2 = AsymptoticImage(
         f_image.e_exp + const,
         f_image.sqrt_two_pi_exp,
@@ -201,8 +200,7 @@ def alien_inverse(
     _require_tangent_to_identity(g)
     ginv = g.reverse()
     const, transport = _exp_transport_factor(ginv, alpha, beta)
-    inner = ginv.truncate(min(ginv.order, g_image.series.order))
-    series = -(ginv.derivative() * transport * g_image.series.compose(inner))
+    series = -(ginv.derivative() * transport * g_image.series.compose(ginv))
     return AsymptoticImage(
         g_image.e_exp + const, g_image.sqrt_two_pi_exp, series
     )
@@ -340,7 +338,7 @@ def verify_derivation_chain(
     const, remainder = exp_with_constant(-exponent)
     prefront = (c * c).div_x_pow(2) * (c - x).div_x_pow(2).reciprocal()
     rhs_b = prefront * remainder
-    lhs_b = a_c2.series.compose(t.truncate(min(t.order, a_c2.series.order)))
+    lhs_b = a_c2.series.compose(t)
     step_b_series = _step("substituted-closed-form", lhs_b, rhs_b, order)
     step_b = ChainStep(
         step_b_series.name,
@@ -350,7 +348,7 @@ def verify_derivation_chain(
 
     # (c) invert the substitution to land on the direct closed form
     y = t.reverse()
-    lhs_c = rhs_b.compose(y.truncate(min(y.order, rhs_b.order)))
+    lhs_c = rhs_b.compose(y)
     step_c = _step("inverted-closed-form", lhs_c, a_c2.series, order)
 
     return ChainReport(order, (step_a, step_b, step_c))

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import floor, isqrt, log10
 from typing import Iterable, Sequence
 
 from . import gf
@@ -62,17 +62,17 @@ def format_significant(value: Fraction, digits: int) -> str:
     if value == 0:
         return "0." + "0" * (digits - 1)
     sign = "-" if value < 0 else ""
-    v = -value if value < 0 else value
-    exponent = 0
-    while v >= 10:
-        v /= 10
-        exponent += 1
-    while v < 1:
-        v *= 10
+    v = abs(value)
+    # The floating-point estimate is off by at most one near a power of ten;
+    # exact comparisons settle it.
+    exponent = floor(log10(v.numerator) - log10(v.denominator))
+    if v < Fraction(10) ** exponent:
         exponent -= 1
-    scaled = v * Fraction(10) ** (digits - 1)
-    mantissa = scaled.numerator // scaled.denominator
-    if 2 * (scaled - mantissa) >= 1:
+    elif v >= Fraction(10) ** (exponent + 1):
+        exponent += 1
+    scaled = v * Fraction(10) ** (digits - 1 - exponent)
+    mantissa, rest = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rest >= scaled.denominator:
         mantissa += 1
     text = str(mantissa)
     if len(text) > digits:  # rounding carried over, e.g. 9.99 -> 10.0

@@ -309,6 +309,11 @@ def _suite_bijection(order: int, cap: int) -> list[tuple[str, bool, str]]:
     results = []
     expected = {2: 1, 3: 1, 4: 7, 5: 63, 6: 729}
     top = min(order, 6, cap)
+    if top < 2:
+        raise UsageError(
+            f"the bijection suite checks n = 2..min(order, 6, cap); "
+            f"order {order} and cap {cap} leave nothing to check"
+        )
     for n in range(2, top + 1):
         report = qft.verify_bijection(n, cap=cap)
         ok = report.passed and report.primitive_count == expected[n]

@@ -185,7 +185,7 @@ def verify_derivative_identity(
     t = connected_sq_div_x(margin)
     c2 = two_connected if two_connected is not None else series_two_connected(margin)
     c2_deriv = c2.derivative()
-    factor = 1 - c2_deriv.compose(t.truncate(min(t.order, c2_deriv.order)))
+    factor = 1 - c2_deriv.compose(t)
     rhs = (c - x).div_x_pow(2) * factor
     target = min(order - 1, rhs.order)
     return lhs.truncate(target) == rhs.truncate(target)
@@ -212,7 +212,7 @@ def decomposition_table_series(order: int) -> dict[str, PowerSeries]:
     t = connected_sq_div_x(order)
     c = series_connected(order + 1)
     c2_shifted = series_two_connected(order + 2).div_x_pow(2)
-    middle = c2_shifted.compose(t.truncate(min(t.order, c2_shifted.order)))
+    middle = c2_shifted.compose(t)
     csq = (c * c).truncate(middle.order)
     row3 = csq * middle
     row4 = (c - PowerSeries.x(c.order)).div_x_pow(1) * row3

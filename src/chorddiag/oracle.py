@@ -389,6 +389,11 @@ def decompose_connected(diagram: ChordDiagram) -> Decomposition:
     """
     if not is_connected(diagram):
         raise ValueError("decomposition is defined for connected diagrams only")
+    return _decompose(diagram)
+
+
+def _decompose(diagram: ChordDiagram) -> Decomposition:
+    """decompose_connected for a diagram already known to be connected."""
     if diagram.n == 1:
         return Decomposition(DecompositionCase.SINGLE_CHORD, diagram, ())
     reasons = find_reasons_connectivity1(diagram)
@@ -397,10 +402,7 @@ def decompose_connected(diagram: ChordDiagram) -> Decomposition:
 
     removals: list[ReasonRemoval] = []
     current = diagram
-    while True:
-        reasons = find_reasons_connectivity1(current)
-        if not reasons:
-            break
+    while reasons:
         leftmost = min(r.start for r in reasons)
         reason = _maximal_reason_from(reasons, leftmost)
         pairing = current.pairing
@@ -415,6 +417,7 @@ def decompose_connected(diagram: ChordDiagram) -> Decomposition:
         )
         removals.append(removal)
         current = _remove_interval(current, removal)
+        reasons = find_reasons_connectivity1(current)
     return Decomposition(case, current, tuple(removals))
 
 
@@ -483,7 +486,7 @@ def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionC
     counts = {case: 0 for case in DecompositionCase}
     for diagram in enumerate_diagrams(n, cap=cap):
         if diagram.n and is_connected(diagram):
-            counts[decompose_connected(diagram).case] += 1
+            counts[_decompose(diagram).case] += 1
     return counts
 
 

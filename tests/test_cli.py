@@ -156,6 +156,17 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 4  # n = 2..5
 
+    def test_bijection_with_nothing_to_check_exits_2(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "verify", "--suite", "bijection", "--order", "1")
+        assert code == 2
+        assert "PASS" not in out
+        assert "nothing to check" in err
+        monkeypatch.setenv("CHORDDIAG_CAP", "1")
+        code, out, err = run(capsys, "verify", "--suite", "bijection", "--order", "5")
+        assert code == 2
+        assert "PASS" not in out
+        assert "nothing to check" in err
+
     def test_all_uses_each_suite_order(self, capsys):
         def bijection_lines(suite):
             code, out, _ = run(capsys, "verify", "--suite", suite, "--order", "4")

@@ -4,7 +4,6 @@ import pytest
 
 from chorddiag import oracle
 from chorddiag._census_py import class_census as py_class_census
-from chorddiag._census_py import k_connected_count as py_k_count
 from chorddiag.oracle import (
     CapExceededError,
     ChordDiagram,
@@ -80,10 +79,8 @@ class TestEnumeration:
             next(enumerate_diagrams(9))
         assert sum(1 for _ in enumerate_diagrams(3, cap=3)) == 15
 
-    def test_census_n8_count(self):
-        if oracle.census_backend() != "compiled":
-            pytest.skip("n=8 census needs the compiled kernel")
-        assert oracle.class_census(8)["all"] == odd_double_factorial(8) == 2027025
+    def test_census_n8_count(self, compiled_census):
+        assert compiled_census.class_census(8)[0] == odd_double_factorial(8) == 2027025
 
 
 class TestConnectivity:
@@ -285,8 +282,7 @@ class TestCensusBackends:
         assert result.returncode == 0, result.stderr
         assert "fallback-ok" in result.stdout
 
-    def test_parity_small_n(self):
-        compiled = oracle.pure_python_census_module() is not oracle._census_impl
+    def test_parity_small_n(self, census_kernels):
         for n in range(0, 6):
             pure = py_class_census(n)
             assert oracle.class_census(n) == {
@@ -294,29 +290,42 @@ class TestCensusBackends:
                 "connected": pure[1],
                 "2connected": pure[2],
             }
-            if compiled:
-                assert tuple(oracle._census_impl.class_census(n)) == pure
+            for kernel in census_kernels:
+                assert tuple(kernel.class_census(n)) == pure, kernel.__name__
 
-    def test_k_census_matches_predicate(self):
+    def test_k_census_matches_predicate(self, census_kernels):
         for n in range(1, 6):
-            for k in (1, 2, 3):
+            for k in (1, 2, 3, 4):
                 brute = sum(
                     1 for d in enumerate_diagrams(n) if is_k_connected(d, k)
                 )
                 assert oracle.k_connected_census(n, k) == brute
-                assert py_k_count(n, k) == brute
+                for kernel in census_kernels:
+                    assert kernel.k_connected_count(n, k) == brute, kernel.__name__
 
-    def test_root_partner_partition_sums(self):
+    def test_root_partner_partition_sums(self, census_kernels):
         total = sum(
             oracle.class_census(4, root_partner=rp)["all"] for rp in range(2, 9)
         )
         assert total == 105
-        for n in range(1, 7):
-            parts = [py_class_census(n, rp) for rp in range(2, 2 * n + 1)]
-            assert tuple(map(sum, zip(*parts))) == py_class_census(n)
+        for kernel in census_kernels:
+            for n in range(1, 7):
+                parts = [kernel.class_census(n, rp) for rp in range(2, 2 * n + 1)]
+                whole = tuple(kernel.class_census(n))
+                assert tuple(map(sum, zip(*parts))) == whole, kernel.__name__
 
     def test_concurrent_partitions_reduce_to_same_counts(self):
         assert oracle.class_census(5, workers=4) == oracle.class_census(5)
+
+    def test_compiled_partitions_on_threads_n8(self, compiled_census, monkeypatch):
+        from chorddiag import gf
+
+        monkeypatch.setattr(oracle, "_census_impl", compiled_census)
+        assert oracle.class_census(8, workers=2) == {
+            "all": int(gf.series_all_diagrams(8)[8]),
+            "connected": int(gf.series_connected(8)[8]),
+            "2connected": int(gf.series_two_connected(8)[8]),
+        }
 
     def test_census_cap(self):
         with pytest.raises(CapExceededError):
