@@ -221,6 +221,12 @@ def _suite_lemmas(order: int, cap: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
+    top = min(6, cap)
+    if top < 2:
+        raise UsageError(
+            "the proposition suite counts cases for n = 2..min(6, cap); "
+            f"cap {cap} leaves nothing to check"
+        )
     results = []
     residual = gf.functional_relation_residual(order)
     results.append(
@@ -234,14 +240,14 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
     results.append(
         (f"proposition: inverse of C^2/x equals (x-C2)^2/x at order {order}", ok, "")
     )
-    case2_expected = {2: 1, 3: 3, 4: 20, 5: 189, 6: 2232}
-    case3_expected = {2: 0, 3: 1, 4: 7, 5: 59, 6: 598}
-    top = min(6, cap)
+    rows = gf.decomposition_table_series(top)
+    root_free = rows["C^2 * [C2(t)/t^2]"]
+    root_covered = rows["(C-x)/x * C^2 * [C2(t)/t^2]"]
     for n in range(2, top + 1):
         counts = oracle.case_census(n, cap=cap)
         ok = (
-            counts[oracle.DecompositionCase.ROOT_FREE] == case2_expected[n]
-            and counts[oracle.DecompositionCase.ROOT_COVERED] == case3_expected[n]
+            counts[oracle.DecompositionCase.ROOT_FREE] == root_free[n]
+            and counts[oracle.DecompositionCase.ROOT_COVERED] == root_covered[n]
         )
         results.append(
             (
@@ -284,17 +290,14 @@ def _suite_tables(order: int, cap: int) -> list[tuple[str, bool, str]]:
     results = []
     work = max(order, 8)
     rows = gf.decomposition_table_series(work)
-    for name, expected in gf.DECOMPOSITION_REFERENCE.items():
-        got = tuple(rows[name][i] for i in range(len(expected)))
-        ok = got == tuple(Fraction(e) for e in expected)
-        results.append(
-            (f"tables: decomposition row {name}", ok, "" if ok else str(got))
-        )
-    image_rows = alien.image_table_series(work)
-    for name, expected in alien.IMAGE_REFERENCE.items():
-        got = tuple(image_rows[name][i] for i in range(len(expected)))
-        ok = got == tuple(Fraction(e) for e in expected)
-        results.append((f"tables: image row {name}", ok, "" if ok else str(got)))
+    for kind, table, reference in (
+        ("decomposition", rows, gf.DECOMPOSITION_REFERENCE),
+        ("image", alien.image_table_series(work), alien.IMAGE_REFERENCE),
+    ):
+        for name, expected in reference.items():
+            got = tuple(table[name][i] for i in range(len(expected)))
+            ok = got == tuple(Fraction(e) for e in expected)
+            results.append((f"tables: {kind} row {name}", ok, "" if ok else str(got)))
     identity = (
         PowerSeries.x(6)
         + rows["C^2 * [C2(t)/t^2]"].truncate(6)
@@ -307,16 +310,16 @@ def _suite_tables(order: int, cap: int) -> list[tuple[str, bool, str]]:
 
 def _suite_bijection(order: int, cap: int) -> list[tuple[str, bool, str]]:
     results = []
-    expected = {2: 1, 3: 1, 4: 7, 5: 63, 6: 729}
     top = min(order, 6, cap)
     if top < 2:
         raise UsageError(
             f"the bijection suite checks n = 2..min(order, 6, cap); "
             f"order {order} and cap {cap} leave nothing to check"
         )
+    two_connected = gf.series_two_connected(top)
     for n in range(2, top + 1):
         report = qft.verify_bijection(n, cap=cap)
-        ok = report.passed and report.primitive_count == expected[n]
+        ok = report.passed and report.primitive_count == two_connected[n]
         detail = f"{report.primitive_count} primitive"
         if report.counterexamples:
             detail += f"; counterexamples: {report.counterexamples[:3]}"

@@ -18,8 +18,6 @@ from functools import lru_cache
 
 from .series import PowerSeries, solve_composition
 
-DEFAULT_ORDER = 30
-
 
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! for n >= 0, with the empty product (-1)!! = 1."""

@@ -378,6 +378,15 @@ def _maximal_reason_from(reasons: list[Reason], start: int) -> Reason:
     return max(candidates, key=lambda r: r.end)
 
 
+def _case(diagram: ChordDiagram, reasons: list[Reason]) -> DecompositionCase:
+    """The case of a connected diagram, fixed by its first cut-witness scan."""
+    if diagram.n == 1:
+        return DecompositionCase.SINGLE_CHORD
+    if any(1 in r for r in reasons):
+        return DecompositionCase.ROOT_COVERED
+    return DecompositionCase.ROOT_FREE
+
+
 def decompose_connected(diagram: ChordDiagram) -> Decomposition:
     """Split a connected diagram into a 2-connected core plus attachments.
 
@@ -389,17 +398,8 @@ def decompose_connected(diagram: ChordDiagram) -> Decomposition:
     """
     if not is_connected(diagram):
         raise ValueError("decomposition is defined for connected diagrams only")
-    return _decompose(diagram)
-
-
-def _decompose(diagram: ChordDiagram) -> Decomposition:
-    """decompose_connected for a diagram already known to be connected."""
-    if diagram.n == 1:
-        return Decomposition(DecompositionCase.SINGLE_CHORD, diagram, ())
     reasons = find_reasons_connectivity1(diagram)
-    root_covered = any(1 in r for r in reasons)
-    case = DecompositionCase.ROOT_COVERED if root_covered else DecompositionCase.ROOT_FREE
-
+    case = _case(diagram, reasons)
     removals: list[ReasonRemoval] = []
     current = diagram
     while reasons:
@@ -449,12 +449,15 @@ def class_census(
     brute-force cross-check for the generating series, not a formula.
     ``workers`` > 1 splits the search space by the root's partner and runs
     the partitions on a thread pool (the compiled kernel releases the GIL,
-    so the partitions genuinely overlap) before summing the counts.
+    so the partitions genuinely overlap) before summing the counts; a fixed
+    ``root_partner`` takes one worker.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if workers < 1 or (workers > 1 and root_partner):
+        raise ValueError("workers must be at least 1, and exactly 1 with a root_partner")
     _check_cap("census", n, cap)
-    if workers > 1 and root_partner == 0 and n >= 1:
+    if workers > 1 and n >= 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -486,7 +489,7 @@ def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionC
     counts = {case: 0 for case in DecompositionCase}
     for diagram in enumerate_diagrams(n, cap=cap):
         if diagram.n and is_connected(diagram):
-            counts[_decompose(diagram).case] += 1
+            counts[_case(diagram, find_reasons_connectivity1(diagram))] += 1
     return counts
 
 

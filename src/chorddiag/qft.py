@@ -102,7 +102,7 @@ def partition_function(action: Action, order: int) -> PowerSeries:
                 break
         for n in range(m, n_max + 1):
             j = n - m
-            if j > order or 2 * n > degree:
+            if j > order:
                 continue
             contribution = v_power[2 * n]
             if contribution:

@@ -103,6 +103,15 @@ class TestTwoConnectedImage:
             got = tuple(rows[name][i] for i in range(len(expected)))
             assert got == tuple(Fraction(e) for e in expected), name
 
+    def test_wrong_exponent_constant_raises(self, monkeypatch):
+        s = gf.series_two_connected_sequences
+        monkeypatch.setattr(
+            gf, "series_two_connected_sequences", lambda order: s(order) + PowerSeries.x(order)
+        )
+        alien_two_connected.cache_clear()
+        with pytest.raises(AssertionError, match="-2"):
+            alien_two_connected(5)
+
     def test_sixth_coefficient_regression(self):
         assert alien_two_connected(6).series[6] == Fraction(-9972896, 45)
 

@@ -4,14 +4,19 @@ import json
 
 import pytest
 
+from chorddiag import gf
 from chorddiag.cli import main
-from chorddiag.series import series_from_json_dict
+from chorddiag.series import PowerSeries, series_from_json_dict
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def off_by_one_at_x4(series):
+    return PowerSeries([c + (i == 4) for i, c in enumerate(series.coefficients)])
 
 
 class TestSeries:
@@ -166,6 +171,40 @@ class TestVerify:
         assert code == 2
         assert "PASS" not in out
         assert "nothing to check" in err
+
+    def test_proposition_with_nothing_to_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHORDDIAG_CAP", "1")
+        code, out, err = run(capsys, "verify", "--suite", "proposition")
+        assert code == 2
+        assert "PASS" not in out
+        assert "nothing to check" in err
+
+    def test_bijection_counts_come_from_the_series(self, capsys, monkeypatch):
+        original = gf.series_two_connected
+        monkeypatch.setattr(
+            gf, "series_two_connected", lambda order: off_by_one_at_x4(original(order))
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "bijection", "--order", "5")
+        assert code == 1
+        assert "FAIL bijection: n=4" in out
+        assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize(
+        "row", ["C^2 * [C2(t)/t^2]", "(C-x)/x * C^2 * [C2(t)/t^2]"]
+    )
+    def test_proposition_case_counts_come_from_the_series(self, capsys, monkeypatch, row):
+        original = gf.decomposition_table_series
+
+        def perturbed(order):
+            rows = dict(original(order))
+            rows[row] = off_by_one_at_x4(rows[row])
+            return rows
+
+        monkeypatch.setattr(gf, "decomposition_table_series", perturbed)
+        code, out, _ = run(capsys, "verify", "--suite", "proposition", "--order", "5")
+        assert code == 1
+        assert "FAIL proposition: decomposition case census at n=4" in out
+        assert out.count("FAIL") == 1
 
     def test_all_uses_each_suite_order(self, capsys):
         def bijection_lines(suite):

@@ -317,6 +317,12 @@ class TestCensusBackends:
     def test_concurrent_partitions_reduce_to_same_counts(self):
         assert oracle.class_census(5, workers=4) == oracle.class_census(5)
 
+    def test_workers_rejected_when_they_cannot_apply(self):
+        for kwargs in ({"workers": 0}, {"workers": -1}, {"workers": 2, "root_partner": 3}):
+            with pytest.raises(ValueError, match="workers"):
+                oracle.class_census(4, **kwargs)
+        assert oracle.class_census(4, root_partner=3, workers=1)["all"] == 15
+
     def test_compiled_partitions_on_threads_n8(self, compiled_census, monkeypatch):
         from chorddiag import gf
 
