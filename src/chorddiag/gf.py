@@ -4,11 +4,23 @@ The connected series is produced by a coefficient recurrence extracted from
 the root-removal relation 2xCC' = C(1+C) - x, which determines each new
 coefficient from the earlier ones by a direct linear solve; the two classic
 diagram relations D = 1 + C(xD^2) and D = 1 + xD + 2x^2 D' then serve as
-independent cross-checks. The 2-connected series comes from the functional
-relation C = C^2/x - C2(C^2/x): since t = C^2/x is tangent to the identity,
-C2(t) = t - C fixes each coefficient of C2 by integer back-substitution.
+independent cross-checks.
 
-All series are exact; results are memoized per (family, order) and safe to
+The 2-connected series has its own differential equation. Write the
+functional relation C = t - C2(t), t = C^2/x, as x = (t - y)^2/t with
+y = C2(t); substituting this change of variable into 2xCC' = C(1+C) - x
+leaves y' only linearly, and what remains is
+
+    2t*y*(1 - y') = (t - y)(t^2 - t*y + y),
+
+whose coefficient form fixes each coefficient of C2 on the integers. The
+functional relation itself is then no longer how C2 is built, so
+functional_relation_residual, check_substitution_inverse and
+verify_derivative_identity check the differential equation's output against
+the paper's relation instead of restating it.
+
+All series are exact and computed on int lists, with a PowerSeries built
+only at the end; results are memoized per (family, order) and safe to
 share, since PowerSeries values are immutable.
 """
 
@@ -16,7 +28,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import PowerSeries, solve_composition
+from .series import (
+    PowerSeries,
+    integer_coefficients,
+    truncated_product,
+    truncated_reciprocal,
+)
 
 
 def double_factorial_odd(n: int) -> int:
@@ -56,22 +73,40 @@ def series_connected(order: int) -> PowerSeries:
 @lru_cache(maxsize=None)
 def connected_sq_div_x(order: int) -> PowerSeries:
     """C^2/x, the inner series relating connected and 2-connected counts."""
-    c = series_connected(order + 1)
-    return (c * c).div_x_pow(1)
+    c = integer_coefficients(series_connected(order + 1))
+    return PowerSeries(truncated_product(c, c, order + 1)[1:])
+
+
+def _pair_sum(y: list[int], k: int) -> int:
+    """The sum of y_i * y_j over i + j = k with i, j >= 2, by symmetry."""
+    half = sum(y[i] * y[k - i] for i in range(2, (k + 1) // 2))
+    return 2 * half + (y[k // 2] ** 2 if k % 2 == 0 else 0)
 
 
 @lru_cache(maxsize=None)
 def series_two_connected(order: int) -> PowerSeries:
     """C2: coefficient n counts 2-connected diagrams on n chords.
 
-    The functional relation C = t - C2(t), with t = C^2/x, read as
-    C2(t) = t - C and solved for C2 on the integer coefficients.
+    y = C2 solves 2t*y*(1 - y') = (t - y)(t^2 - t*y + y), which follows from
+    the paper's relation C = t - C2(t), t = C^2/x, and 2xCC' = C(1+C) - x
+    (see the module docstring). Its coefficient form: y_0 = y_1 = 0,
+    y_2 = 1 and, for m >= 3,
+
+        y_m = -2*y_{m-1} + m * P_{m+1} + P_m,
+
+    where P_k sums y_i * y_j over i + j = k with i, j >= 2. P_{m+1} reaches
+    only up to y_{m-1}, and it is the P_m of the next step, so each
+    coefficient costs one convolution of integers.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    t = [int(v) for v in connected_sq_div_x(order).coefficients]
-    u = [ti - int(ci) for ti, ci in zip(t, series_connected(order).coefficients)]
-    return PowerSeries(solve_composition(t, u, order))
+    y = [0, 0, 1] + [0] * (order - 2)
+    pair_sum = _pair_sum(y, 3)
+    for m in range(3, order + 1):
+        next_pair_sum = _pair_sum(y, m + 1)
+        y[m] = -2 * y[m - 1] + m * next_pair_sum + pair_sum
+        pair_sum = next_pair_sum
+    return PowerSeries(y)
 
 
 def series_connectivity_one(order: int) -> PowerSeries:
@@ -85,11 +120,15 @@ def series_connectivity_one(order: int) -> PowerSeries:
 
 @lru_cache(maxsize=None)
 def series_two_connected_sequences(order: int) -> PowerSeries:
-    """S = 1/(1 - C2/x): sequences of 2-connected diagrams, one less chord each."""
+    """S = 1/(1 - C2/x): sequences of 2-connected diagrams, one less chord each.
+
+    1 - C2/x has constant term 1, so its reciprocal stays on the integers.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    c2_over_x = series_two_connected(order + 1).div_x_pow(1)
-    return (PowerSeries.one(order) - c2_over_x).reciprocal()
+    c2_over_x = integer_coefficients(series_two_connected(order + 1))[1:]
+    one_minus = [(k == 0) - v for k, v in enumerate(c2_over_x)]
+    return PowerSeries(truncated_reciprocal(one_minus, order))
 
 
 FAMILIES = {

@@ -43,6 +43,34 @@ def truncated_product(a: Sequence, b: Sequence, n: int) -> list:
     return out
 
 
+def truncated_reciprocal(a: Sequence, n: int) -> list:
+    """Coefficients 0..n of 1/a, for a list a with a nonzero constant term.
+
+    Each coefficient is minus the convolution of a with the earlier ones,
+    times 1/a0; with a0 = +-1 integer inputs give integer coefficients.
+    """
+    if a[0] == 0:
+        raise ValueError("no reciprocal: constant term is zero")
+    inv0 = Fraction(1) / a[0]
+    if inv0.denominator == 1:
+        inv0 = inv0.numerator
+    out = [inv0] + [0] * n
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, min(m, len(a) - 1) + 1):
+            if a[k]:
+                acc += a[k] * out[m - k]
+        out[m] = -acc * inv0
+    return out
+
+
+def integer_coefficients(f: "PowerSeries") -> list[int]:
+    """The coefficients of f as ints; ValueError unless each one is an integer."""
+    if any(c.denominator != 1 for c in f.coefficients):
+        raise ValueError("series has a non-integer coefficient")
+    return [c.numerator for c in f.coefficients]
+
+
 def solve_composition(f: Sequence, u: Sequence, n: int) -> list:
     """Coefficients 0..n of h with h(f) = u, for f tangent to the identity.
 
@@ -258,19 +286,7 @@ class PowerSeries:
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse; requires c0 != 0."""
-        if self._coeffs[0] == 0:
-            raise ValueError("no reciprocal: constant term is zero")
-        n = self.order
-        inv0 = 1 / self._coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                ck = self._coeffs[k]
-                if ck:
-                    acc += ck * out[m - k]
-            out[m] = -acc * inv0
-        return PowerSeries(out)
+        return PowerSeries(truncated_reciprocal(self._coeffs, self.order))
 
     def reverse(self) -> "PowerSeries":
         """Compositional inverse g with self(g(x)) = x.

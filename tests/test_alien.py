@@ -140,6 +140,69 @@ def _e_squared_approx() -> Fraction:
     return total + term
 
 
+def _fraction_table(order: int) -> dict[str, PowerSeries]:
+    """image_table_series on Fraction series: exp_with_constant, reciprocal, products."""
+    s = gf.series_two_connected_sequences(order + 2)
+    c2 = gf.series_two_connected(order + 3)
+    x = PowerSeries.x(s.order)
+    s_plus_x_sq = (s + x) ** 2
+    half_shift = (s_plus_x_sq - 1).div_x_pow(1) / 2
+    c2s = (c2 * s).truncate(order + 2)
+    _, remainder = exp_with_constant(-half_shift)
+    return {
+        "S": s,
+        "(S+x)^2": s_plus_x_sq,
+        "[(S+x)^2-1]/(2x)": half_shift,
+        "C2*S": c2s,
+        "x^2/(C2*S)": c2s.div_x_pow(2).reciprocal(),
+        "e^2*exp(-[(S+x)^2-1]/(2x))": remainder,
+    }
+
+
+def _fraction_connected_image(order: int) -> AsymptoticImage:
+    c = gf.series_connected(order + 1)
+    exponent = (c * c + 2 * c).div_x_pow(1) / 2
+    const, remainder = exp_with_constant(-exponent)
+    x_over_c = c.div_x_pow(1).reciprocal()
+    return AsymptoticImage(const, -1, (x_over_c * remainder).truncate(order))
+
+
+class TestFractionRoute:
+    """The integer images equal the same closed forms computed on Fractions.
+
+    Each coefficient depends only on lower ones, so the reference at the top
+    order gives every lower order by truncation.
+    """
+
+    TOP = 60
+
+    def test_connected_image(self):
+        reference = _fraction_connected_image(self.TOP)
+        assert reference.e_exp == -1
+        for order in range(1, self.TOP + 1):
+            image = alien_connected(order)
+            assert image.same_prefactor(reference)
+            assert image.series == reference.series.truncate(order), order
+
+    def test_two_connected_image(self):
+        rows = _fraction_table(self.TOP)
+        const = -rows["[(S+x)^2-1]/(2x)"][0]
+        series = rows["x^2/(C2*S)"] * rows["e^2*exp(-[(S+x)^2-1]/(2x))"]
+        for order in range(0, self.TOP + 1):
+            image = alien_two_connected(order)
+            assert (image.e_exp, image.sqrt_two_pi_exp) == (const, -1)
+            assert image.series == series.truncate(order), order
+
+    def test_table_rows(self):
+        reference = _fraction_table(self.TOP)
+        for order in range(0, self.TOP + 1):
+            rows = alien.image_table_series(order)
+            assert list(rows) == list(reference)
+            for name, row in rows.items():
+                assert row == reference[name].truncate(row.order), (order, name)
+            assert rows["x^2/(C2*S)"].order == order
+
+
 class TestProductRule:
     def test_square_of_connected(self):
         c = gf.series_connected(8)
@@ -322,6 +385,25 @@ class TestDerivationChain:
         step = report.steps[0]
         assert not step.passed
         assert step.first_mismatch is not None
+
+    def test_corrupted_two_connected_prefactor_fails_steps(self):
+        image = alien_two_connected(15)
+        corrupted = AsymptoticImage(
+            image.e_exp + 1, image.sqrt_two_pi_exp, image.series
+        )
+        report = verify_derivation_chain(12, two_connected_image=corrupted)
+        assert not report.passed
+        assert not report.steps[0].passed
+        assert not report.steps[1].passed
+
+    def test_corrupted_connected_prefactor_fails_step_one(self):
+        image = alien_connected(16)
+        corrupted = AsymptoticImage(
+            image.e_exp, image.sqrt_two_pi_exp + 1, image.series
+        )
+        report = verify_derivation_chain(12, connected_image=corrupted)
+        assert not report.passed
+        assert not report.steps[0].passed
 
     def test_corrupted_two_connected_image_fails(self):
         work = 6 + 3

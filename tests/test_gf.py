@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chorddiag import gf, oracle
-from chorddiag.series import PowerSeries
+from chorddiag.series import PowerSeries, solve_composition
 
 
 def ints(f: PowerSeries) -> list[int]:
@@ -73,6 +73,41 @@ class TestTwoConnected:
         s = gf.series_two_connected_sequences(6)
         got = (s + PowerSeries.x(6)) ** 2
         assert ints(got) == [1, 4, 8, 28, 208, 2164, 28056]
+
+
+class TestTwoConnectedRoutes:
+    """C2 comes from its differential equation; these pin it to the other routes."""
+
+    def test_recurrence_equals_triangular_solve(self):
+        # C2(t) = t - C, solved for C2 by back-substitution on t = C^2/x;
+        # each coefficient depends only on lower ones, so one solve at the
+        # top order gives every lower order as a prefix
+        top = 150
+        t = ints(gf.connected_sq_div_x(top))
+        c = ints(gf.series_connected(top))
+        solved = solve_composition(t, [ti - ci for ti, ci in zip(t, c)], top)
+        for order in range(2, top + 1):
+            assert ints(gf.series_two_connected(order)) == solved[: order + 1], order
+
+    def test_differential_equation_residual(self):
+        # 2t*y*(1 - y') - (t - y)(t^2 - t*y + y) with y = C2(t)
+        order = 100
+        y_full = gf.series_two_connected(order + 1)
+        y = y_full.truncate(order)
+        t = PowerSeries.x(order)
+        residual = 2 * t * y * (1 - y_full.derivative()) - (t - y) * (
+            t * t - t * y + y
+        )
+        assert residual.order == order
+        assert residual.is_zero()
+
+    def test_sequences_equal_fraction_reciprocal(self):
+        for order in range(1, 101):
+            c2_over_x = gf.series_two_connected(order + 1).div_x_pow(1)
+            one_minus = PowerSeries.one(order) - c2_over_x
+            s = gf.series_two_connected_sequences(order)
+            assert s == one_minus.reciprocal(), order
+        assert s * one_minus == PowerSeries.one(order)
 
 
 class TestDerivativeIdentity:

@@ -239,6 +239,11 @@ class TestProperties:
         assert f.compose(g) == ident
         assert g.compose(f) == ident
 
+    @given(small_rationals.filter(bool).flatmap(lambda c0: series_strategy(8, first=c0)))
+    @settings(max_examples=40, deadline=None)
+    def test_reciprocal_inverts(self, f):
+        assert f * f.reciprocal() == PowerSeries.one(f.order)
+
     @given(series_strategy(8, first=Fraction(0)))
     @settings(max_examples=40, deadline=None)
     def test_exp_log_round_trip(self, g):
