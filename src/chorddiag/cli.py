@@ -276,14 +276,16 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
 def _suite_chain_rule(order: int, cap: int) -> list[tuple[str, bool, str]]:
     order = max(order, 6)
     report = alien.verify_derivation_chain(order)
-    return [
-        (
-            f"chain-rule: {step.name} at order {order}",
-            step.passed,
-            "" if step.passed else f"first mismatch at x^{step.first_mismatch}",
-        )
-        for step in report.steps
-    ]
+    results = []
+    for step in report.steps:
+        if step.passed:
+            detail = ""
+        elif step.first_mismatch is None:
+            detail = "prefactor mismatch"
+        else:
+            detail = f"first mismatch at x^{step.first_mismatch}"
+        results.append((f"chain-rule: {step.name} at order {order}", step.passed, detail))
+    return results
 
 
 def _suite_tables(order: int, cap: int) -> list[tuple[str, bool, str]]:

@@ -264,32 +264,39 @@ def find_subdivergences(graph: QedGraph) -> list[Subdivergence]:
     (two fermion stubs); one photon stub makes it a vertex insertion, the
     external photon counting as a stub like any other. Candidates need at
     least one internal photon (a loop) and no uncovered fermion edge.
+
+    One sweep per start: as ``end`` moves right, three counts stay current
+    for [start, end]: the internal photons, the stubs (photons with one
+    endpoint inside, plus the external photon), and the fermion edges
+    (i, i + 1) with start <= i < end that no internal photon spans.
     """
     found = []
     length = graph.path_length
+    partner = [0] * (length + 1)  # 0 marks the external photon's vertex
+    for u, v in graph.photons:
+        partner[u], partner[v] = v, u
     for start in range(1, length + 1):
+        spanned = [False] * length
+        internal = stubs = uncovered = 0
         for end in range(start, length + 1):
+            if end > start:
+                uncovered += 1  # the edge (end - 1, end) joins the interval
+            other = partner[end]
+            if start <= other < end:
+                internal += 1
+                stubs -= 1
+                for i in range(other, end):
+                    if not spanned[i]:
+                        spanned[i] = True
+                        uncovered -= 1
+            else:
+                stubs += 1
             if start == 1 and end == length:
                 continue  # the whole graph is not a proper subgraph
-            internal = [
-                (u, v) for u, v in graph.photons if start <= u and v <= end
-            ]
-            if not internal:
-                continue
-            stubs = sum(
-                1
-                for u, v in graph.photons
-                if (start <= u <= end) != (start <= v <= end)
-            )
-            if start <= graph.root_position <= end:
-                stubs += 1
-            if stubs > 1:
-                continue
-            if not _interval_bridgeless(internal, start, end):
-                continue
-            found.append(
-                Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
-            )
+            if internal and stubs <= 1 and uncovered == 0:
+                found.append(
+                    Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
+                )
     return found
 
 

@@ -12,6 +12,7 @@ callers that want to be explicit about the coefficient field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -29,18 +30,40 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
 
 
+def _cleared(a: Sequence) -> tuple[Sequence, int | None]:
+    """(ints, d) with a[i] = ints[i] / d, d the lcm of the denominators of a.
+
+    An all-int list comes back as itself with d = None, not copied.
+    """
+    if all(type(c) is int for c in a):
+        return a, None
+    d = lcm(*[c.denominator for c in a])
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
 def truncated_product(a: Sequence, b: Sequence, n: int) -> list:
     """Coefficients 0..n of the product of two coefficient lists.
 
-    Entries may be int or Fraction alike; integer inputs stay integers.
+    Entries may be int or Fraction alike. A list holding a Fraction is
+    scaled by the lcm of its denominators to a list of ints, the two int
+    lists are convolved, and each output coefficient becomes one
+    Fraction(v, da*db): one gcd per coefficient instead of one per term.
+    A list of ints is used as it is, so when both inputs are int lists
+    the output is an int list; gf, alien and solve_composition rely on
+    that to keep integer series integer.
     """
+    a, da = _cleared(a[: n + 1])
+    b, db = _cleared(b[: n + 1])
     out = [0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
+    for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b[: n + 1 - i]):
                 if bj:
                     out[i + j] += ai * bj
-    return out
+    if da is None and db is None:
+        return out
+    d = (da or 1) * (db or 1)
+    return [Fraction(v, d) for v in out]
 
 
 def truncated_reciprocal(a: Sequence, n: int) -> list:

@@ -1,5 +1,6 @@
 """Command line surface: output formats, exit codes, cap handling."""
 
+import dataclasses
 import json
 
 import pytest
@@ -205,6 +206,21 @@ class TestVerify:
         assert code == 1
         assert "FAIL proposition: decomposition case census at n=4" in out
         assert out.count("FAIL") == 1
+
+    def test_chain_rule_prefactor_failure_names_the_prefactor(self, capsys, monkeypatch):
+        from chorddiag import alien
+
+        original = alien.alien_two_connected
+
+        def shifted(order):
+            image = original(order)
+            return dataclasses.replace(image, e_exp=image.e_exp + 1)
+
+        monkeypatch.setattr(alien, "alien_two_connected", shifted)
+        code, out, _ = run(capsys, "verify", "--suite", "chain-rule", "--order", "8")
+        assert code == 1
+        assert "None" not in out
+        assert "[prefactor mismatch]" in out
 
     def test_all_uses_each_suite_order(self, capsys):
         def bijection_lines(suite):

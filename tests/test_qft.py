@@ -1,5 +1,6 @@
 """Partition functions and the diagram-to-graph correspondence."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +18,7 @@ from chorddiag.qft import (
     PHI3,
     Action,
     QedGraph,
+    Subdivergence,
     chord_to_qed,
     find_subdivergences,
     is_one_particle_irreducible,
@@ -145,6 +147,63 @@ class TestSubdivergences:
                 1 for d in enumerate_diagrams(n) if is_primitive(chord_to_qed(d))
             )
             assert got == want
+
+
+def interval_by_interval_subdivergences(graph):
+    """The scan that rebuilds the photon lists for every interval."""
+    found = []
+    length = graph.path_length
+    for start in range(1, length + 1):
+        for end in range(start, length + 1):
+            if start == 1 and end == length:
+                continue
+            internal = [(u, v) for u, v in graph.photons if start <= u and v <= end]
+            if not internal:
+                continue
+            stubs = sum(
+                1
+                for u, v in graph.photons
+                if (start <= u <= end) != (start <= v <= end)
+            )
+            if start <= graph.root_position <= end:
+                stubs += 1
+            if stubs > 1:
+                continue
+            if not all(any(u <= i < v for u, v in internal) for i in range(start, end)):
+                continue
+            found.append(
+                Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
+            )
+    return found
+
+
+def random_diagram(n, rng):
+    points = list(range(1, 2 * n + 1))
+    rng.shuffle(points)
+    pairing = [0] * (2 * n)
+    for i in range(0, 2 * n, 2):
+        a, b = points[i], points[i + 1]
+        pairing[a - 1], pairing[b - 1] = b, a
+    return ChordDiagram(pairing)
+
+
+class TestSubdivergenceSweep:
+    def test_matches_interval_scan_exhaustively(self):
+        for n in range(1, 6):
+            for diagram in enumerate_diagrams(n):
+                graph = chord_to_qed(diagram)
+                assert find_subdivergences(graph) == interval_by_interval_subdivergences(
+                    graph
+                ), diagram.to_text()
+
+    def test_matches_interval_scan_on_a_sample(self):
+        rng = random.Random(20201)
+        for n in range(6, 10):
+            for _ in range(300):
+                graph = chord_to_qed(random_diagram(n, rng))
+                assert find_subdivergences(graph) == interval_by_interval_subdivergences(
+                    graph
+                ), graph.to_text()
 
 
 class TestClaimCrossChecks:

@@ -14,6 +14,7 @@ from chorddiag.series import (
     series_from_json_dict,
     series_to_csv_rows,
     series_to_json_dict,
+    truncated_product,
 )
 
 
@@ -257,6 +258,42 @@ class TestProperties:
                 assert isinstance(c, Fraction)
                 assert c.denominator >= 1
                 assert gcd(c.numerator, c.denominator) == 1
+
+
+def naive_product(a, b, n):
+    out = [Fraction(0)] * (n + 1)
+    for i in range(min(len(a), n + 1)):
+        for j in range(min(len(b), n + 1 - i)):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return out
+
+
+mixed_entries = st.one_of(
+    small_rationals,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(max_denominator=10**25),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+int_lists = st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=12)
+
+
+class TestTruncatedProduct:
+    @given(
+        st.lists(mixed_entries, max_size=12),
+        st.lists(mixed_entries, max_size=12),
+        st.integers(min_value=0, max_value=14),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_termwise_convolution(self, a, b, n):
+        assert truncated_product(a, b, n) == naive_product(a, b, n)
+
+    @given(int_lists, int_lists, st.integers(min_value=0, max_value=14))
+    @settings(max_examples=100, deadline=None)
+    def test_int_inputs_give_ints(self, a, b, n):
+        out = truncated_product(a, b, n)
+        assert out == naive_product(a, b, n)
+        assert all(type(c) is int for c in out)
 
 
 class TestSerialization:
