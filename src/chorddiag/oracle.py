@@ -131,46 +131,66 @@ def crossing(chord_a: tuple[int, int], chord_b: tuple[int, int]) -> bool:
 
 
 class IntersectionGraph:
-    """Graph on the chords of a diagram with an edge for every crossing."""
+    """Graph on the chords of a diagram with an edge for every crossing.
 
-    __slots__ = ("chords", "adjacency")
+    ``masks[c]`` has bit d set when chord c crosses chord d; chords are
+    numbered by left endpoint, as in ``ChordDiagram.chords``. One
+    left-to-right sweep builds every mask: ``open_mask`` holds the chords
+    opened and not yet closed, and a chord crosses exactly the chords that
+    were open when it opened and closed before it, plus those opened after
+    it and still open when it closes. Both sets are the bits in which
+    ``open_mask`` at its opening and at its closing differ.
+    """
+
+    __slots__ = ("chords", "masks")
 
     def __init__(self, diagram: ChordDiagram):
-        self.chords = diagram.chords()
-        adj = [set() for _ in self.chords]
-        for (i, a), (j, b) in combinations(enumerate(self.chords), 2):
-            if crossing(a, b):
-                adj[i].add(j)
-                adj[j].add(i)
-        self.adjacency = tuple(map(frozenset, adj))
+        pairing = diagram.pairing
+        chords = []
+        masks = []
+        chord_at = [0] * (len(pairing) + 1)  # chord closing at a position
+        open_mask = 0
+        for i, p in enumerate(pairing, start=1):
+            if i < p:
+                c = len(chords)
+                chords.append((i, p))
+                masks.append(open_mask)
+                chord_at[p] = c
+                open_mask |= 1 << c
+            else:
+                c = chord_at[i]
+                open_mask ^= 1 << c
+                masks[c] ^= open_mask
+        self.chords = tuple(chords)
+        self.masks = tuple(masks)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (i, j)
-            for i in range(len(self.chords))
-            for j in self.adjacency[i]
-            if i < j
+            for i, mask in enumerate(self.masks)
+            for j in range(i + 1, mask.bit_length())
+            if mask >> j & 1
         )
 
     def is_connected(self) -> bool:
-        return self._connected_without(())
+        return self._connected_without(0)
 
-    def _connected_without(self, removed) -> bool:
-        """True when the chords outside ``removed`` are a non-empty connected set."""
-        n = len(self.chords)
-        start = 0
-        while start in removed:
-            start += 1
-        if start >= n:
+    def _connected_without(self, removed: int) -> bool:
+        """True when the chords outside ``removed`` are a non-empty connected set.
+
+        ``removed`` is a bitmask with bit c set for each removed chord c.
+        """
+        masks = self.masks
+        keep = ((1 << len(masks)) - 1) & ~removed
+        if not keep:
             return False
-        seen = {start, *removed}
-        stack = [start]
-        while stack:
-            for v in self.adjacency[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
+        seen = frontier = keep & -keep
+        while frontier:
+            low = frontier & -frontier
+            grown = masks[low.bit_length() - 1] & keep & ~seen
+            seen |= grown
+            frontier = (frontier ^ low) | grown
+        return seen == keep
 
 
 def enumerate_diagrams(
@@ -242,10 +262,11 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     graph = IntersectionGraph(diagram)
     if not graph.is_connected():
         return False
+    bits = [1 << c for c in range(n)]
     return all(
-        graph._connected_without(removed)
+        graph._connected_without(sum(removed))
         for r in range(1, min(k - 1, n - 1) + 1)
-        for removed in combinations(range(n), r)
+        for removed in combinations(bits, r)
     )
 
 
@@ -276,30 +297,31 @@ def find_reasons_connectivity1(diagram: ChordDiagram) -> list[Reason]:
     a connected diagram on n >= 2 chords the list is empty exactly when the
     diagram is 2-connected.
     """
-    pairing = diagram.pairing
-    size = diagram.size
-    reasons: list[Reason] = []
-    for start in range(1, size + 1):
-        external = 0
-        for end in range(start, size + 1):
+    return list(_reasons(diagram.pairing, range(1, diagram.size + 1)))
+
+
+def _reasons(pairing: tuple[int, ...], starts) -> Iterator[Reason]:
+    """The witnesses that begin at each of ``starts``, one at a time.
+
+    One sweep per start: ``external`` counts the endpoints in start..end
+    matched outside it and ``outside`` sums their positions, so when one is
+    left, ``outside`` is the cut position.
+    """
+    size = len(pairing)
+    for start in starts:
+        external = outside = 0
+        for end in range(start, min(size, start + size - 3) + 1):
             p = pairing[end - 1]
             if start <= p < end:
                 external -= 1
+                outside -= p
             else:
                 external += 1
-            length = end - start + 1
-            if length < 3 or length % 2 == 0 or length >= size - 1:
-                continue
-            if external == 1:
-                cut_pos = next(
-                    i
-                    for i in range(start, end + 1)
-                    if not start <= pairing[i - 1] <= end
-                )
-                partner = pairing[cut_pos - 1]
-                chord = (min(cut_pos, partner), max(cut_pos, partner))
-                reasons.append(Reason(start, end, cut_pos, chord))
-    return reasons
+                outside += end
+            if external == 1 and end - start >= 2:
+                partner = pairing[outside - 1]
+                chord = (min(outside, partner), max(outside, partner))
+                yield Reason(start, end, outside, chord)
 
 
 class DecompositionCase(enum.Enum):
@@ -378,11 +400,15 @@ def _maximal_reason_from(reasons: list[Reason], start: int) -> Reason:
     return max(candidates, key=lambda r: r.end)
 
 
-def _case(diagram: ChordDiagram, reasons: list[Reason]) -> DecompositionCase:
-    """The case of a connected diagram, fixed by its first cut-witness scan."""
+def _case(diagram: ChordDiagram) -> DecompositionCase:
+    """The case of a connected diagram: root-covered when a witness starts at 1.
+
+    A witness interval contains the root endpoint exactly when it starts at
+    position 1, so one sweep from there decides the case.
+    """
     if diagram.n == 1:
         return DecompositionCase.SINGLE_CHORD
-    if any(1 in r for r in reasons):
+    if next(_reasons(diagram.pairing, (1,)), None) is not None:
         return DecompositionCase.ROOT_COVERED
     return DecompositionCase.ROOT_FREE
 
@@ -398,8 +424,8 @@ def decompose_connected(diagram: ChordDiagram) -> Decomposition:
     """
     if not is_connected(diagram):
         raise ValueError("decomposition is defined for connected diagrams only")
+    case = _case(diagram)
     reasons = find_reasons_connectivity1(diagram)
-    case = _case(diagram, reasons)
     removals: list[ReasonRemoval] = []
     current = diagram
     while reasons:
@@ -489,7 +515,7 @@ def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionC
     counts = {case: 0 for case in DecompositionCase}
     for diagram in enumerate_diagrams(n, cap=cap):
         if diagram.n and is_connected(diagram):
-            counts[_case(diagram, find_reasons_connectivity1(diagram))] += 1
+            counts[_case(diagram)] += 1
     return counts
 
 

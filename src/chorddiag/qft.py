@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import gf
 from .oracle import DEFAULT_CAP, ChordDiagram, enumerate_diagrams, is_k_connected
@@ -140,7 +140,7 @@ class QedGraph:
     root_position: int
 
     def __init__(self, path_length, photons, root_position):
-        photons = tuple(sorted((min(u, v), max(u, v)) for u, v in photons))
+        photons = tuple(sorted((u, v) if u < v else (v, u) for u, v in photons))
         object.__setattr__(self, "path_length", int(path_length))
         object.__setattr__(self, "photons", photons)
         object.__setattr__(self, "root_position", int(root_position))
@@ -153,8 +153,8 @@ class QedGraph:
                 raise ValueError(f"photon ({u},{v}) leaves the path")
             covered[u] += 1
             covered[v] += 1
-        bad = [i for i in range(1, self.path_length + 1) if covered[i] != 1]
-        if bad:
+        if covered.count(1) != self.path_length:
+            bad = [i for i in range(1, self.path_length + 1) if covered[i] != 1]
             raise ValueError(
                 f"vertices {bad} do not carry exactly one photon endpoint"
             )
@@ -252,7 +252,16 @@ class Subdivergence:
 
 
 def _interval_bridgeless(photons, start: int, end: int) -> bool:
-    return all(any(u <= i < v for u, v in photons) for i in range(start, end))
+    """True when photons span every fermion edge (i, i + 1), start <= i < end.
+
+    Bit i of a span mask stands for the edge (i, i + 1); the photon (u, v)
+    spans bits u..v-1.
+    """
+    spanned = 0
+    for u, v in photons:
+        spanned |= (1 << v) - (1 << u)
+    edges = (1 << end) - (1 << start)
+    return spanned & edges == edges
 
 
 def find_subdivergences(graph: QedGraph) -> list[Subdivergence]:
@@ -264,40 +273,37 @@ def find_subdivergences(graph: QedGraph) -> list[Subdivergence]:
     (two fermion stubs); one photon stub makes it a vertex insertion, the
     external photon counting as a stub like any other. Candidates need at
     least one internal photon (a loop) and no uncovered fermion edge.
-
-    One sweep per start: as ``end`` moves right, three counts stay current
-    for [start, end]: the internal photons, the stubs (photons with one
-    endpoint inside, plus the external photon), and the fermion edges
-    (i, i + 1) with start <= i < end that no internal photon spans.
     """
-    found = []
+    return list(_subdivergences(graph))
+
+
+def _subdivergences(graph: QedGraph) -> Iterator[Subdivergence]:
+    """The subdivergences of ``graph`` in (start, end) order, one at a time.
+
+    One sweep per start: as ``end`` moves right, three quantities stay
+    current for [start, end]: the internal photons, the stubs (photons with
+    one endpoint inside, plus the external photon), and the mask of fermion
+    edges that internal photons span (bit i for the edge (i, i + 1)). The
+    interval has no uncovered edge when that mask holds bits start..end-1.
+    """
     length = graph.path_length
     partner = [0] * (length + 1)  # 0 marks the external photon's vertex
     for u, v in graph.photons:
         partner[u], partner[v] = v, u
     for start in range(1, length + 1):
-        spanned = [False] * length
-        internal = stubs = uncovered = 0
+        internal = stubs = spanned = 0
         for end in range(start, length + 1):
-            if end > start:
-                uncovered += 1  # the edge (end - 1, end) joins the interval
             other = partner[end]
             if start <= other < end:
                 internal += 1
                 stubs -= 1
-                for i in range(other, end):
-                    if not spanned[i]:
-                        spanned[i] = True
-                        uncovered -= 1
+                spanned |= (1 << end) - (1 << other)
             else:
                 stubs += 1
             if start == 1 and end == length:
                 continue  # the whole graph is not a proper subgraph
-            if internal and stubs <= 1 and uncovered == 0:
-                found.append(
-                    Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
-                )
-    return found
+            if internal and stubs <= 1 and spanned == (1 << end) - (1 << start):
+                yield Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
 
 
 def is_one_particle_irreducible(graph: QedGraph) -> bool:
@@ -309,11 +315,14 @@ def is_primitive(graph: QedGraph) -> bool:
     """1PI, at least one loop, and free of subdivergences.
 
     Tree-level graphs (no internal photon) are the unit of the counting
-    series, not counted primitives, hence the loop requirement.
+    series, not counted primitives, hence the loop requirement. The scan
+    stops at the first subdivergence.
     """
     if not graph.photons:
         return False
-    return is_one_particle_irreducible(graph) and not find_subdivergences(graph)
+    if not is_one_particle_irreducible(graph):
+        return False
+    return next(_subdivergences(graph), None) is None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Diagram oracle: enumeration, connectivity, cut witnesses, decomposition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorddiag import oracle
 from chorddiag._census_py import class_census as py_class_census
@@ -9,6 +11,7 @@ from chorddiag.oracle import (
     ChordDiagram,
     DecompositionCase,
     IntersectionGraph,
+    crossing,
     decompose_connected,
     enumerate_diagrams,
     find_reasons_connectivity1,
@@ -102,6 +105,56 @@ class TestConnectivity:
         graph = IntersectionGraph(CROSSING)
         assert graph.edges() == ((0, 1),)
         assert IntersectionGraph(NESTED).edges() == ()
+
+
+def pairwise_crossings(diagram):
+    chords = diagram.chords()
+    return tuple(
+        (i, j)
+        for i in range(len(chords))
+        for j in range(i + 1, len(chords))
+        if crossing(chords[i], chords[j])
+    )
+
+
+def shuffled_matching(points):
+    """Pair off consecutive entries of a permutation of the 2n positions."""
+    pairing = [0] * len(points)
+    for a, b in zip(points[::2], points[1::2]):
+        pairing[a - 1], pairing[b - 1] = b, a
+    return ChordDiagram(pairing)
+
+
+matchings = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.permutations(range(1, 2 * n + 1))
+).map(shuffled_matching)
+
+
+class TestCrossingMasks:
+    def test_edges_match_pairwise_crossing_exhaustively(self):
+        for n in range(0, 7):
+            for diagram in enumerate_diagrams(n):
+                graph = IntersectionGraph(diagram)
+                assert graph.chords == diagram.chords()
+                edges = pairwise_crossings(diagram)
+                assert graph.edges() == edges, diagram.to_text()
+                bits = {
+                    (i, j)
+                    for i, mask in enumerate(graph.masks)
+                    for j in range(diagram.n)
+                    if mask >> j & 1
+                }
+                assert bits == {*edges, *((j, i) for i, j in edges)}, diagram.to_text()
+
+    @given(matchings)
+    @settings(max_examples=300, deadline=None)
+    def test_edges_and_two_connectivity_on_shuffled_matchings(self, diagram):
+        assert IntersectionGraph(diagram).edges() == pairwise_crossings(diagram)
+        assert is_k_connected(diagram, 2) == (
+            is_connected(diagram)
+            and diagram.n >= 2
+            and not find_reasons_connectivity1(diagram)
+        )
 
 
 class TestKConnectivity:

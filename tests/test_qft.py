@@ -231,6 +231,23 @@ class TestClaimCrossChecks:
                     assert is_one_particle_irreducible(graph)
 
 
+class TestFirstHit:
+    def test_primitive_and_irreducible_match_full_scans(self):
+        for n in range(1, 7):
+            for diagram in enumerate_diagrams(n):
+                g = chord_to_qed(diagram)
+                per_edge = all(
+                    any(u <= i < v for u, v in g.photons)
+                    for i in range(1, g.path_length)
+                )
+                assert is_one_particle_irreducible(g) == per_edge, g.to_text()
+                assert is_primitive(g) == (
+                    bool(g.photons)
+                    and is_one_particle_irreducible(g)
+                    and not find_subdivergences(g)
+                ), g.to_text()
+
+
 class TestBijection:
     def test_small_n(self):
         for n, expected in ((2, 1), (3, 1), (4, 7), (5, 63)):
