@@ -7,6 +7,17 @@
  * classifier, level(), gives every finished diagram the highest j <= k for
  * which it is j-connected. The walk runs without the GIL, so root-partner
  * partitions of one census overlap on a thread pool.
+ *
+ * As in the twin, two O(1) prunes skip subtrees in which every diagram is
+ * disconnected and add their (2m-1)!! diagrams, m chords still to place, to
+ * level 0 in bulk:
+ *   - adjacent positions: for n >= 2 a chord on (i, i+1) has no endpoint
+ *     between its own, so it crosses nothing and is isolated;
+ *   - closed prefix: when the smallest free position i equals 2c with
+ *     c >= 1 chords placed, the positions before i hold both ends of every
+ *     placed chord, and no chord still to place can cross them.
+ * Every diagram that may be connected still reaches level(), so the
+ * connected and k-connected counts stay enumeration counts.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -24,6 +35,7 @@ typedef struct {
     mask_t adj[MAX_CHORDS];     /* crossing mask of each chord, by left endpoint */
     const mask_t *kept;         /* chords left after removing r < k of them, r ascending */
     Py_ssize_t nkept;
+    count_t rest[MAX_CHORDS + 1];  /* (2(n-c)-1)!!, completions of c placed chords */
     count_t hist[MAX_CHORDS + 1];  /* diagrams by level */
 } Walk;
 
@@ -65,8 +77,17 @@ static void place(Walk *w, int i, int c)
         w->hist[level(w)]++;
         return;
     }
+    if (c && i == 2 * c) {  /* closed prefix */
+        w->hist[0] += w->rest[c];
+        return;
+    }
     mask_t bit = 1u << c, cross = 0;
-    for (int j = i + 1; j < w->size; j++) {
+    int first = i + 1;
+    if (w->owner[first] < 0 && w->n > 1) {  /* the chord (i, i+1) crosses nothing */
+        w->hist[0] += w->rest[c + 1];
+        first++;
+    }
+    for (int j = first; j < w->size; j++) {
         int d = w->owner[j];
         if (d >= 0) {
             cross |= 1u << d;
@@ -110,6 +131,9 @@ static int census(int n, int k, int root_partner, count_t *counts)
     w.kept = kept;
     for (int j = 0; j < w.size; j++)
         w.owner[j] = -1;
+    w.rest[n] = 1;
+    for (int c = n - 1; c >= 0; c--)
+        w.rest[c] = w.rest[c + 1] * (count_t)(2 * (n - c) - 1);
 
     Py_BEGIN_ALLOW_THREADS
     if (root_partner) {

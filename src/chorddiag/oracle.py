@@ -9,7 +9,8 @@ notions for diagrams are read off that graph.
 The census helpers at the bottom dispatch to a compiled kernel when the
 extension module is available and to a pure-Python twin otherwise; both
 enumerate diagrams in the same deterministic order (smallest free position
-is matched first, partners tried left to right).
+is matched first, partners tried left to right) and skip the same
+disconnected subtrees.
 """
 
 from __future__ import annotations
@@ -471,12 +472,15 @@ def class_census(
 ) -> dict[str, int]:
     """Counts of all / connected / 2-connected diagrams on n chords.
 
-    Enumerates every diagram through the active kernel; this is the
-    brute-force cross-check for the generating series, not a formula.
+    Enumerates the diagrams through the active kernel; this is the
+    brute-force cross-check for the generating series, not a formula. The
+    kernel counts subtrees that are disconnected on sight in bulk, but every
+    diagram that may be connected is classified on its own.
     ``workers`` > 1 splits the search space by the root's partner and runs
-    the partitions on a thread pool (the compiled kernel releases the GIL,
-    so the partitions genuinely overlap) before summing the counts; a fixed
-    ``root_partner`` takes one worker.
+    the partitions on a thread pool before summing the counts; a fixed
+    ``root_partner`` takes one worker. The partitions overlap only on the
+    compiled backend, which releases the GIL: python-kernel threads hold
+    it, so there they run one after another.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

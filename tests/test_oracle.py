@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chorddiag import oracle
+from chorddiag import _census_py, oracle
 from chorddiag._census_py import class_census as py_class_census
 from chorddiag.oracle import (
     CapExceededError,
@@ -346,12 +346,43 @@ class TestCensusBackends:
             for kernel in census_kernels:
                 assert tuple(kernel.class_census(n)) == pure, kernel.__name__
 
-    def test_k_census_matches_predicate(self, census_kernels):
-        for n in range(1, 6):
-            for k in (1, 2, 3, 4):
-                brute = sum(
-                    1 for d in enumerate_diagrams(n) if is_k_connected(d, k)
+    def test_partitions_match_enumeration(self, census_kernels):
+        for n in range(1, 7):
+            for rp in (0, *range(2, 2 * n + 1)):
+                diagrams = list(enumerate_diagrams(n, root_partner=rp or None))
+                expected = (
+                    len(diagrams),
+                    sum(1 for d in diagrams if is_connected(d)),
+                    sum(1 for d in diagrams if is_k_connected(d, 2)),
                 )
+                for kernel in census_kernels:
+                    got = tuple(kernel.class_census(n, rp))
+                    assert got == expected, (kernel.__name__, n, rp)
+
+    def test_prunes_skip_only_disconnected_diagrams(self):
+        def connected(adj):
+            seen = 1
+            frontier = [0]
+            while frontier:
+                c = frontier.pop()
+                for d in range(len(adj)):
+                    if adj[c] >> d & 1 and not seen >> d & 1:
+                        seen |= 1 << d
+                        frontier.append(d)
+            return seen == (1 << len(adj)) - 1
+
+        # 2830 of the 11!! = 10395 diagrams on 6 chords are connected
+        leaves = []
+        skipped = _census_py._walk(6, 0, lambda adj: leaves.append(connected(adj)))
+        assert sum(leaves) == 2830
+        assert len(leaves) < 10395
+        assert len(leaves) + skipped == 10395
+
+    def test_k_census_matches_predicate(self, census_kernels):
+        for n in range(1, 7):
+            diagrams = list(enumerate_diagrams(n))
+            for k in (1, 2, 3, 4):
+                brute = sum(1 for d in diagrams if is_k_connected(d, k))
                 assert oracle.k_connected_census(n, k) == brute
                 for kernel in census_kernels:
                     assert kernel.k_connected_count(n, k) == brute, kernel.__name__
