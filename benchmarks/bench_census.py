@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled census kernel against the pure-Python fallback.
 
-The census is the hot loop of the package: every one of the (2n-1)!!
-diagrams on n chords is enumerated and classified by connectivity. Run
+The census is the hot loop of the package: it counts the (2n-1)!!
+diagrams on n chords by connectivity, walking every connected one and
+skipping disconnected subtrees in bulk. Run
 
     python benchmarks/bench_census.py --max-n 7
 

@@ -2,47 +2,76 @@
  *
  * Same contract as the pure-Python twin in _census_py.py, and the same
  * design: one walker, place(), enumerates every rooted diagram on n chords
- * (smallest free position matched first, partners tried left to right) and
- * keeps each chord's crossing mask current as chords are placed; one
- * classifier, level(), gives every finished diagram the highest j <= k for
- * which it is j-connected. The walk runs without the GIL, so root-partner
- * partitions of one census overlap on a thread pool.
+ * (smallest free position matched first, partners tried left to right)
+ * and reads connectivity off the intervals of positions, with no graph
+ * search. It scans the positions left to right, opening a chord at each
+ * free one and closing one at each taken one, and keeps the external count
+ * of every interval [a, b-1] ending at the current position b: the number
+ * of its endpoints whose partner lies outside it. Before each close it
+ * tests two facts:
+ *   - a diagram is disconnected exactly when some proper interval is
+ *     closed (external count 0); such an interval is fixed once its last
+ *     position closes, so the subtree is skipped and its (2m-1)!!
+ *     completions, m chords still to place, are added to level 0;
+ *   - a connected diagram on n >= 2 chords has a cut chord exactly when
+ *     some interval of 3..2n-3 positions has one external endpoint; in a
+ *     connected diagram it ends at a close whose partner lies in it, so the
+ *     test sets the subtree's cut flag.
+ * Every diagram the walk reaches is therefore connected, and for k <= 2 its
+ * level is read off the cut flag. Only for k >= 3 does a leaf without a cut
+ * build its crossing masks and search the graph left by each removal of
+ * 2..k-1 chords. The walk runs without the GIL, so root-partner partitions
+ * of one census overlap on a thread pool.
  *
- * As in the twin, two O(1) prunes skip subtrees in which every diagram is
- * disconnected and add their (2m-1)!! diagrams, m chords still to place, to
- * level 0 in bulk:
- *   - adjacent positions: for n >= 2 a chord on (i, i+1) has no endpoint
- *     between its own, so it crosses nothing and is isolated;
- *   - closed prefix: when the smallest free position i equals 2c with
- *     c >= 1 chords placed, the positions before i hold both ends of every
- *     placed chord, and no chord still to place can cross them.
- * Every diagram that may be connected still reaches level(), so the
- * connected and k-connected counts stay enumeration counts.
+ * The counts live in one unsigned __int128: field a, WIDTH bits wide with a
+ * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
+ * adds 1 to fields 0..b; closing one at b with partner p adds 1 to fields
+ * p+1..b and takes 1 from fields 0..p. A field a <= p about to drop to 0
+ * marks [a, b] closed, and one about to drop to 1 marks a cut when [a, b]
+ * is short enough. Each is found by the zero-field test
+ * (y - ones) & ~y & highs on y = state ^ value, with ones only over the
+ * tested fields: a zero field below them would otherwise borrow and give a
+ * false hit.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#define MAX_CHORDS 16
+#define MAX_CHORDS 10
+#define WIDTH 6  /* counts stay at most n, below 2^5; 2 * MAX_CHORDS fields fill 120 bits */
 
 typedef unsigned int mask_t;
 typedef unsigned long long count_t;
+typedef unsigned __int128 state_t;
+
+/* The tests and the update for closing the chord (p, b). */
+typedef struct {
+    state_t closed, closed_highs;   /* ones and top bits over the fields tested for 1 */
+    state_t twos, near, near_highs; /* twos, ones and top bits over those tested for 2 */
+    state_t update;
+} Close;
 
 typedef struct {
-    int n, size, k;
-    mask_t full;
-    int owner[2 * MAX_CHORDS];  /* chord whose right endpoint sits at a position */
-    mask_t adj[MAX_CHORDS];     /* crossing mask of each chord, by left endpoint */
-    const mask_t *kept;         /* chords left after removing r < k of them, r ascending */
+    int n, size, top;
+    int partner[2 * MAX_CHORDS];     /* 0-based partner of each position, -1 when free */
+    state_t opens[2 * MAX_CHORDS];   /* ones over fields 0..b */
+    Close closes[2 * MAX_CHORDS][2 * MAX_CHORDS];  /* [b][p], p < b */
+    const mask_t *kept;              /* chords left after removing 2 <= r < k of them, r ascending */
     Py_ssize_t nkept;
-    count_t rest[MAX_CHORDS + 1];  /* (2(n-c)-1)!!, completions of c placed chords */
-    count_t hist[MAX_CHORDS + 1];  /* diagrams by level */
+    count_t rest[MAX_CHORDS + 1];    /* (2(n-c)-1)!!, completions of c placed chords */
+    count_t hist[MAX_CHORDS + 1];    /* diagrams by level */
 } Walk;
+
+static state_t ones(int lo, int hi)
+{
+    state_t x = 0;
+    for (int a = lo; a <= hi; a++)
+        x |= (state_t)1 << (a * WIDTH);
+    return x;
+}
 
 static int connected(const mask_t *adj, mask_t mask)
 {
-    if (!mask)
-        return 0;
     mask_t comp = mask & (~mask + 1u), frontier = comp;
     while (frontier) {
         mask_t next = 0;
@@ -54,54 +83,66 @@ static int connected(const mask_t *adj, mask_t mask)
     return comp == mask;
 }
 
-/* Highest j <= k such that the diagram is j-connected: connected, at least
- * j chords, and no removal of fewer than j chords disconnects it. */
-static int level(const Walk *w)
+/* Level of a finished diagram without a cut chord, for k >= 3: the first
+ * removal of 2..k-1 chords that disconnects it, else min(k, n). Crossing
+ * masks come from one sweep: a chord crosses exactly the chords in which
+ * the open set at its opening and at its closing differ. */
+static int removal_level(const Walk *w)
 {
-    if (!connected(w->adj, w->full))
-        return 0;
+    int chord[2 * MAX_CHORDS], c = 0;
+    mask_t adj[MAX_CHORDS], at_open[MAX_CHORDS], open = 0;
+    for (int i = 0; i < w->size; i++) {
+        int q = w->partner[i];
+        if (q > i) {
+            chord[i] = c;
+            at_open[c] = open;
+            open |= 1u << c++;
+        }
+        else {
+            int d = chord[q];
+            open ^= 1u << d;
+            adj[d] = at_open[d] ^ open;
+        }
+    }
     for (Py_ssize_t x = 0; x < w->nkept; x++)
-        if (!connected(w->adj, w->kept[x]))
+        if (!connected(adj, w->kept[x]))
             return w->n - __builtin_popcount(w->kept[x]);
-    return w->k < w->n ? w->k : w->n;
+    return w->top;
 }
 
-/* Match the smallest free position at or after i with the new chord c.
- * The chord placed at (i, j) crosses exactly the placed chords whose right
- * endpoint lies in (i, j); those bits are set here and cleared on return. */
-static void place(Walk *w, int i, int c)
+/* Close the taken positions from b on, then open a chord c at the first
+ * free one and try each free partner for it. */
+static void place(Walk *w, int b, int c, state_t state, int cut)
 {
-    while (i < w->size && w->owner[i] >= 0)
-        i++;
-    if (i == w->size) {
-        w->hist[level(w)]++;
-        return;
-    }
-    if (c && i == 2 * c) {  /* closed prefix */
-        w->hist[0] += w->rest[c];
-        return;
-    }
-    mask_t bit = 1u << c, cross = 0;
-    int first = i + 1;
-    if (w->owner[first] < 0 && w->n > 1) {  /* the chord (i, i+1) crosses nothing */
-        w->hist[0] += w->rest[c + 1];
-        first++;
-    }
-    for (int j = first; j < w->size; j++) {
-        int d = w->owner[j];
-        if (d >= 0) {
-            cross |= 1u << d;
-            continue;
+    int p;
+    while (b < w->size && (p = w->partner[b]) >= 0) {
+        const Close *t = &w->closes[b][p];
+        state_t y = state ^ t->closed;
+        if ((y - t->closed) & ~y & t->closed_highs) {
+            w->hist[0] += w->rest[c];
+            return;
         }
-        w->owner[j] = c;
-        w->adj[c] = cross;
-        for (mask_t m = cross; m; m &= m - 1)
-            w->adj[__builtin_ctz(m)] |= bit;
-        place(w, i + 1, c + 1);
-        for (mask_t m = cross; m; m &= m - 1)
-            w->adj[__builtin_ctz(m)] ^= bit;
-        w->owner[j] = -1;
+        if (!cut) {
+            y = state ^ t->twos;
+            cut = ((y - t->near) & ~y & t->near_highs) != 0;
+        }
+        state += t->update;
+        b++;
     }
+    if (b == w->size) {
+        w->hist[cut ? 1 : w->nkept ? removal_level(w) : w->top]++;
+        return;
+    }
+    state += w->opens[b];
+    for (int j = b + 1; j < w->size; j++) {
+        if (w->partner[j] >= 0)
+            continue;
+        w->partner[b] = j;
+        w->partner[j] = b;
+        place(w, b + 1, c + 1, state, cut);
+        w->partner[j] = -1;
+    }
+    w->partner[b] = -1;
 }
 
 /* counts[j] = number of j-connected diagrams on n chords, for j = 0..k
@@ -114,40 +155,61 @@ static int census(int n, int k, int root_partner, count_t *counts)
                      "n must lie in 0..%d for the compiled kernel", MAX_CHORDS);
         return -1;
     }
-    Walk w = {.n = n, .size = 2 * n, .k = k, .full = (1u << n) - 1u};
-    if (root_partner && !(2 <= root_partner && root_partner <= w.size)) {
-        PyErr_Format(PyExc_ValueError, "root partner must lie in 2..%d", w.size);
+    int size = 2 * n;
+    if (root_partner && !(2 <= root_partner && root_partner <= size)) {
+        PyErr_Format(PyExc_ValueError, "root partner must lie in 2..%d", size);
         return -1;
     }
+    Walk *w = PyMem_Calloc(1, sizeof *w);
     mask_t *kept = PyMem_New(mask_t, (size_t)1 << n);
-    if (kept == NULL) {
+    if (w == NULL || kept == NULL) {
+        PyMem_Free(w);
+        PyMem_Free(kept);
         PyErr_NoMemory();
         return -1;
     }
-    for (int r = 1; r < k && r < n; r++)
-        for (mask_t removed = 1; removed < w.full; removed++)
+    w->n = n;
+    w->size = size;
+    w->top = k < n ? k : n;
+    mask_t full = (1u << n) - 1u;
+    for (int r = 2; r < k && r < n; r++)
+        for (mask_t removed = 1; removed < full; removed++)
             if (__builtin_popcount(removed) == r)
-                kept[w.nkept++] = w.full & ~removed;
-    w.kept = kept;
-    for (int j = 0; j < w.size; j++)
-        w.owner[j] = -1;
-    w.rest[n] = 1;
+                kept[w->nkept++] = full & ~removed;
+    w->kept = kept;
+    for (int b = 0; b < size; b++) {
+        w->partner[b] = -1;
+        w->opens[b] = ones(0, b);
+        for (int p = 0; p < b; p++) {
+            Close *t = &w->closes[b][p];
+            /* [0, 2n-1] is the whole diagram; a cut interval has at most 2n-3 positions */
+            t->closed = ones(b == size - 1 ? 1 : 0, p);
+            t->closed_highs = t->closed << (WIDTH - 1);
+            t->near = ones(b - size + 4 > 0 ? b - size + 4 : 0, p);
+            t->twos = t->near << 1;
+            t->near_highs = t->near << (WIDTH - 1);
+            t->update = ones(p + 1, b) - ones(0, p);
+        }
+    }
+    w->rest[n] = 1;
     for (int c = n - 1; c >= 0; c--)
-        w.rest[c] = w.rest[c + 1] * (count_t)(2 * (n - c) - 1);
+        w->rest[c] = w->rest[c + 1] * (count_t)(2 * (n - c) - 1);
 
     Py_BEGIN_ALLOW_THREADS
     if (root_partner) {
-        w.owner[root_partner - 1] = 0;
-        place(&w, 1, 1);
+        w->partner[0] = root_partner - 1;
+        w->partner[root_partner - 1] = 0;
+        place(w, 1, 1, w->opens[0], 0);
     }
     else
-        place(&w, 0, 0);
+        place(w, 0, 0, 0, 0);
     Py_END_ALLOW_THREADS
 
-    PyMem_Free(kept);
-    counts[k] = w.hist[k];
+    counts[k] = w->hist[k];
     for (int j = k - 1; j >= 0; j--)
-        counts[j] = counts[j + 1] + w.hist[j];
+        counts[j] = counts[j + 1] + w->hist[j];
+    PyMem_Free(kept);
+    PyMem_Free(w);
     return 0;
 }
 

@@ -1,34 +1,32 @@
 """Pure-Python census kernel.
 
 Same contract as the compiled twin in ``_census.c``: enumerate every
-rooted diagram on n chords (smallest free position matched first) and count
-connectivity classes with bitmask graph searches. Kept dependency-free and
-allocation-light so it stays usable up to n = 7 when the extension is not
-built.
+rooted diagram on n chords (smallest free position matched first, partners
+tried left to right) and count connectivity classes. Kept dependency-free
+and allocation-light so it stays usable up to n = 8 when the extension is
+not built.
 
-One walker, ``_walk``, places the chords and hands each finished diagram
-that the prunes below keep to one classifier, which gives it the highest j <= k for which it is
-j-connected. Chords are numbered by left endpoint, and each chord's
-crossing mask is kept current as chords are placed: when the smallest free
-position i is matched with j, the new chord crosses exactly the placed
-chords whose right endpoint lies in (i, j), so those bits are set on
-placement and cleared on backtrack. No leaf rebuilds a mask.
+One walker, ``_walk``, reads connectivity off the intervals of positions
+with no graph search. It scans the positions left to right, opening a chord
+at each free one and closing one at each taken one, and keeps the external
+count of every interval [a, b-1] ending at the current position: the number
+of its endpoints whose partner lies outside it. Two facts turn those counts
+into a classification:
 
-Two O(1) prunes skip subtrees in which every diagram is disconnected, and
-count them in bulk: a subtree with m chords still to place holds (2m-1)!!
-diagrams.
+- A diagram is disconnected exactly when some proper interval is closed
+  (external count 0): no chord can cross out of it. Such an interval is
+  fixed once its last position is closed, so the walk tests for one before
+  each close and skips the subtree, all of whose (2m-1)!! completions (m
+  chords still to place) are disconnected.
+- A connected diagram on n >= 2 chords has a cut chord exactly when some
+  interval of 3..2n-3 positions has one external endpoint (the
+  characterization ``oracle.find_reasons_connectivity1`` lists). In a
+  connected diagram that interval ends at a close whose partner lies in it,
+  so the same test before each close sets the subtree's ``cut`` flag.
 
-- Adjacent positions. When n >= 2, a chord on the adjacent positions
-  (i, i+1) has no endpoint between its own, so it crosses nothing and is
-  an isolated vertex of the intersection graph.
-- Closed prefix. When the smallest free position i equals 2c with c >= 1
-  chords placed, positions before i hold both ends of every placed chord.
-  No chord still to place can cross them, so the diagram splits into two
-  non-empty parts.
-
-Every diagram that may be connected still reaches the classifier, so the
-connected and k-connected counts stay enumeration counts, and the total is
-still a sum over the walk's branches.
+So every diagram the walk reaches is connected, and for k <= 2 its level is
+read off ``cut``. Only for k >= 3 does a leaf without a cut build its
+crossing masks and search the graph left by each removal of 2..k-1 chords.
 """
 
 from __future__ import annotations
@@ -36,126 +34,151 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 
 
-def _closure(adj: list[int], mask: int, start: int) -> int:
-    comp = start
-    frontier = start
+def _connected(masks: list[int], keep: int) -> bool:
+    """True when the chords in ``keep`` induce a connected crossing graph."""
+    comp = frontier = keep & -keep
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        nxt &= mask
-        frontier = nxt & ~comp
-        comp |= nxt
-    return comp
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & keep & ~comp
+        comp |= frontier
+    return comp == keep
 
 
-def _connected_masked(adj: list[int], mask: int) -> bool:
-    if mask == 0:
-        return False
-    low = mask & -mask
-    return _closure(adj, mask, low) == mask
+def _crossing_masks(partner: list[int]) -> list[int]:
+    """Crossing mask of each chord, chords numbered by left endpoint.
 
-
-def _kept_after_removals(n: int, k: int) -> list[int]:
-    """Masks of the chords left after removing r of n chords, 1 <= r < min(k, n)."""
-    full = (1 << n) - 1
-    return [
-        full & ~sum(1 << c for c in removed)
-        for r in range(1, min(k - 1, n - 1) + 1)
-        for removed in combinations(range(n), r)
-    ]
+    One sweep: a chord crosses exactly the chords in which the open set at
+    its opening and at its closing differ.
+    """
+    chord = [0] * len(partner)
+    at_open = []
+    masks = [0] * (len(partner) // 2)
+    open_ = 0
+    for pos, q in enumerate(partner):
+        if q > pos:
+            chord[pos] = len(at_open)
+            at_open.append(open_)
+            open_ |= 1 << chord[pos]
+        else:
+            c = chord[q]
+            open_ ^= 1 << c
+            masks[c] = at_open[c] ^ open_
+    return masks
 
 
 def _walk(n: int, root_partner: int, visit) -> int:
-    """Call ``visit(adj)`` once per diagram on n chords that the prunes keep.
+    """Call ``visit(partner, cut)`` once per connected diagram on n chords.
 
-    Diagrams are visited in enumeration order. ``adj[c]`` is the crossing
-    mask of chord c (chords numbered by left endpoint); the list is reused,
-    so ``visit`` must not keep it. ``root_partner`` (1-based position, 0 for
-    unrestricted) pins the partner of position 1. Returns the number of
-    diagrams skipped, all of them disconnected.
+    ``partner[i]`` is the 0-based partner of position i; the list is reused,
+    so ``visit`` must not keep it. ``cut`` is True when one chord's removal
+    disconnects the diagram. Diagrams are visited in enumeration order, and
+    the empty diagram (n = 0) is visited too. ``root_partner`` (1-based
+    position, 0 for unrestricted) pins the partner of position 1. Returns the
+    number of diagrams skipped, all of them disconnected.
+
+    The counts live in one integer: field a, ``width`` bits wide with a
+    spare top bit, holds the external count of [a, b-1] while position b is
+    next. Opening a chord at b adds 1 to fields 0..b; closing one at b with
+    partner p adds 1 to fields p+1..b and takes 1 from fields 0..p. A field
+    a <= p about to drop to 0 marks [a, b] closed, and one about to drop to
+    1 marks a cut when [a, b] is short enough. Each is found by the
+    zero-field test ``(y - ones) & ~y & highs`` on ``y = state ^ value``,
+    with ``ones`` only over the tested fields: a zero field below them would
+    otherwise borrow and give a false hit.
     """
     size = 2 * n
-    owner = [-1] * size  # chord whose right endpoint sits at a position
-    adj = [0] * n
+    if root_partner and not 2 <= root_partner <= size:
+        raise ValueError(f"root partner must lie in 2..{size}")
+    width = (size + 1).bit_length() + 1
+
+    def ones(lo: int, hi: int) -> int:
+        return sum(1 << a * width for a in range(lo, hi + 1))
+
+    opens = [ones(0, b) for b in range(size)]
+    closes = []  # closes[b][p]: the tests and the update for closing (p, b)
+    for b in range(size):
+        row = []
+        for p in range(b):
+            closed = ones(1 if b == size - 1 else 0, p)  # [0, 2n-1] is the whole diagram
+            near = ones(max(0, b - size + 4), p)  # at most 2n-3 positions
+            row.append((
+                closed, closed << width - 1, near << 1, near, near << width - 1,
+                ones(p + 1, b) - ones(0, p),
+            ))
+        closes.append(row)
     rest = [1] * (n + 1)  # rest[c] = (2(n - c) - 1)!!, completions of c placed chords
     for c in range(n - 1, -1, -1):
         rest[c] = rest[c + 1] * (2 * (n - c) - 1)
+    partner = [-1] * size
     skipped = 0
 
-    def place(i: int, c: int) -> None:
+    def place(b: int, c: int, state: int, cut: bool) -> None:
         nonlocal skipped
-        while i < size and owner[i] >= 0:
-            i += 1
-        if i == size:
-            visit(adj)
+        while b < size and (p := partner[b]) >= 0:
+            closed, closed_highs, twos, near, near_highs, update = closes[b][p]
+            y = state ^ closed
+            if (y - closed) & ~y & closed_highs:
+                skipped += rest[c]
+                return
+            if not cut:
+                y = state ^ twos
+                cut = (y - near) & ~y & near_highs != 0
+            state += update
+            b += 1
+        if b == size:
+            visit(partner, cut)
             return
-        if c and i == 2 * c:  # closed prefix
-            skipped += rest[c]
-            return
-        bit = 1 << c
-        cross = 0
-        first = i + 1
-        if owner[first] < 0 and n > 1:  # the chord (i, i + 1) crosses nothing
-            skipped += rest[c + 1]
-            first += 1
-        for j in range(first, size):
-            d = owner[j]
-            if d >= 0:
-                cross |= 1 << d
-                continue
-            owner[j] = c
-            adj[c] = cross
-            m = cross
-            while m:
-                low = m & -m
-                adj[low.bit_length() - 1] |= bit
-                m ^= low
-            place(i + 1, c + 1)
-            m = cross
-            while m:
-                low = m & -m
-                adj[low.bit_length() - 1] ^= bit
-                m ^= low
-            owner[j] = -1
+        state += opens[b]
+        for j in range(b + 1, size):
+            if partner[j] < 0:
+                partner[b] = j
+                partner[j] = b
+                place(b + 1, c + 1, state, cut)
+                partner[j] = -1
+        partner[b] = -1
 
     if root_partner:
-        if not 2 <= root_partner <= size:
-            raise ValueError(f"root partner must lie in 2..{size}")
-        owner[root_partner - 1] = 0
-        place(1, 1)
+        partner[0] = root_partner - 1
+        partner[root_partner - 1] = 0
+        place(1, 1, opens[0], False)
     else:
-        place(0, 0)
+        place(0, 0, 0, False)
     return skipped
 
 
 def _census(n: int, k: int, root_partner: int = 0) -> list[int]:
     """Counts of the j-connected diagrams on n chords, for j = 0..k.
 
-    Each diagram the walk visits is classified once, by the highest j <= k
-    for which it is connected, has at least j chords, and survives every
-    removal of fewer than j chords. The diagrams it skips are disconnected
-    and count at level 0.
+    Each diagram the walk visits is connected and gets the highest j <= k
+    for which it has at least j chords and survives every removal of fewer
+    than j chords: 1 with a cut chord, otherwise the first removal of
+    2..k-1 chords that disconnects it, or min(k, n). The diagrams it skips
+    are disconnected and count at level 0, as does the empty diagram.
     """
     full = (1 << n) - 1
-    kept = _kept_after_removals(n, k)  # ascending in the number removed
+    kept = [  # chords left after each removal, ascending in the number removed
+        full & ~sum(1 << c for c in removed)
+        for r in range(2, min(k - 1, n - 1) + 1)
+        for removed in combinations(range(n), r)
+    ]
     top = min(k, n)
     by_level = [0] * (k + 1)
 
-    def visit(adj: list[int]) -> None:
-        if not _connected_masked(adj, full):
-            by_level[0] += 1
-            return
-        for mask in kept:
-            if not _connected_masked(adj, mask):
-                by_level[n - mask.bit_count()] += 1
-                return
-        by_level[top] += 1
+    def visit(partner: list[int], cut: bool) -> None:
+        level = 1 if cut else top
+        if kept and not cut:
+            masks = _crossing_masks(partner)
+            for keep in kept:
+                if not _connected(masks, keep):
+                    level = n - keep.bit_count()
+                    break
+        by_level[level] += 1
 
-    skipped = _walk(n, root_partner, visit)  # visit updates by_level[0] during the walk
+    skipped = _walk(n, root_partner, visit)  # visit updates by_level[0] for n = 0
     by_level[0] += skipped
     return list(accumulate(reversed(by_level)))[::-1]
 

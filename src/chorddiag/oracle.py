@@ -9,8 +9,9 @@ notions for diagrams are read off that graph.
 The census helpers at the bottom dispatch to a compiled kernel when the
 extension module is available and to a pure-Python twin otherwise; both
 enumerate diagrams in the same deterministic order (smallest free position
-is matched first, partners tried left to right) and skip the same
-disconnected subtrees.
+is matched first, partners tried left to right), skip the same disconnected
+subtrees and read connectivity off the intervals of positions, as
+``_census_py`` explains.
 """
 
 from __future__ import annotations
@@ -474,33 +475,28 @@ def class_census(
 
     Enumerates the diagrams through the active kernel; this is the
     brute-force cross-check for the generating series, not a formula. The
-    kernel counts subtrees that are disconnected on sight in bulk, but every
-    diagram that may be connected is classified on its own.
-    ``workers`` > 1 splits the search space by the root's partner and runs
-    the partitions on a thread pool before summing the counts; a fixed
-    ``root_partner`` takes one worker. The partitions overlap only on the
-    compiled backend, which releases the GIL: python-kernel threads hold
-    it, so there they run one after another.
+    kernel counts disconnected subtrees in bulk as soon as a closed interval
+    of positions shows, and classifies each connected diagram on its own.
+    ``workers`` > 1 splits the search space by the root's partner and sums
+    the counts of the partitions; a fixed ``root_partner`` takes one worker.
+    On the compiled backend, which releases the GIL, the partitions run on a
+    thread pool of ``workers`` threads; on the python backend they run one
+    after another in the calling thread, since its threads could not overlap.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if workers < 1 or (workers > 1 and root_partner):
         raise ValueError("workers must be at least 1, and exactly 1 with a root_partner")
     _check_cap("census", n, cap)
-    if workers > 1 and n >= 1:
+    partners = range(2, 2 * n + 1) if workers > 1 and n >= 1 else (root_partner,)
+    if len(partners) > 1 and _census_impl is not _census_py:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda rp: _census_impl.class_census(n, rp), range(2, 2 * n + 1)
-                )
-            )
-        total = sum(p[0] for p in parts)
-        connected = sum(p[1] for p in parts)
-        two_connected = sum(p[2] for p in parts)
+            parts = list(pool.map(lambda rp: _census_impl.class_census(n, rp), partners))
     else:
-        total, connected, two_connected = _census_impl.class_census(n, root_partner)
+        parts = [_census_impl.class_census(n, rp) for rp in partners]
+    total, connected, two_connected = map(sum, zip(*parts))
     return {"all": total, "connected": connected, "2connected": two_connected}
 
 

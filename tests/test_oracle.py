@@ -360,23 +360,35 @@ class TestCensusBackends:
                     assert got == expected, (kernel.__name__, n, rp)
 
     def test_prunes_skip_only_disconnected_diagrams(self):
-        def connected(adj):
-            seen = 1
+        def connected(partner):
+            chords = [(i, j) for i, j in enumerate(partner) if i < j]
+            seen = {0}
             frontier = [0]
             while frontier:
-                c = frontier.pop()
-                for d in range(len(adj)):
-                    if adj[c] >> d & 1 and not seen >> d & 1:
-                        seen |= 1 << d
+                a, b = chords[frontier.pop()]
+                for d, (c, e) in enumerate(chords):
+                    if d not in seen and (a < c < b < e or c < a < e < b):
+                        seen.add(d)
                         frontier.append(d)
-            return seen == (1 << len(adj)) - 1
+            return len(seen) == len(chords)
 
-        # 2830 of the 11!! = 10395 diagrams on 6 chords are connected
-        leaves = []
-        skipped = _census_py._walk(6, 0, lambda adj: leaves.append(connected(adj)))
-        assert sum(leaves) == 2830
-        assert len(leaves) < 10395
-        assert len(leaves) + skipped == 10395
+        for n in range(1, 7):
+            for rp in (0, *range(2, 2 * n + 1)):
+                expected = {}
+                for d in enumerate_diagrams(n, root_partner=rp or None):
+                    partner = tuple(q - 1 for q in d.pairing)
+                    if connected(partner):  # the single chord has no cut chord
+                        expected[partner] = n > 1 and not is_k_connected(d, 2)
+                leaves = {}
+
+                def visit(partner, cut):
+                    leaves[tuple(partner)] = cut
+
+                skipped = _census_py._walk(n, rp, visit)
+                assert leaves == expected, (n, rp)
+                assert len(leaves) + skipped == odd_double_factorial(n - 1 if rp else n)
+                if (n, rp) == (6, 0):
+                    assert len(leaves) == 2830
 
     def test_k_census_matches_predicate(self, census_kernels):
         for n in range(1, 7):
@@ -400,6 +412,28 @@ class TestCensusBackends:
 
     def test_concurrent_partitions_reduce_to_same_counts(self):
         assert oracle.class_census(5, workers=4) == oracle.class_census(5)
+
+    def test_python_partitions_start_no_threads(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the python kernel cannot overlap on threads")
+
+        monkeypatch.setattr(oracle, "_census_impl", _census_py)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        assert oracle.class_census(5, workers=4) == {
+            "all": 945,
+            "connected": 248,
+            "2connected": 63,
+        }
+
+    def test_compiled_kernel_rejects_more_than_ten_chords(self, compiled_census):
+        for call in (
+            lambda: compiled_census.class_census(11),
+            lambda: compiled_census.k_connected_count(11, 2),
+        ):
+            with pytest.raises(ValueError, match="0..10"):
+                call()
 
     def test_workers_rejected_when_they_cannot_apply(self):
         for kwargs in ({"workers": 0}, {"workers": -1}, {"workers": 2, "root_partner": 3}):
