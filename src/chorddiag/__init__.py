@@ -66,7 +66,7 @@ from .qft import (
     qed_to_chord,
     verify_bijection,
 )
-from .series import PowerSeries, Rational
+from .series import PowerSeries, Rational, ReversionError
 
 __version__ = "0.1.0"
 
@@ -84,6 +84,7 @@ __all__ = [
     "QedGraph",
     "Rational",
     "Reason",
+    "ReversionError",
     "alien_compose",
     "alien_connected",
     "alien_inverse",

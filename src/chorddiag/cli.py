@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import alien, asymptotics, gf, oracle, qft
@@ -52,6 +53,24 @@ def _rational_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
+@contextmanager
+def _long_ints():
+    """Lift the interpreter's limit on int-to-decimal conversion, then restore it.
+
+    Exact output may print coefficients of any length; C_n passes the
+    default limit of 4300 digits near n = 1425.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7 there is no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _emit(fmt: str, record, header, rows, plain) -> None:
     """Print ``record`` as JSON, ``header`` and ``rows`` as CSV, or ``plain``."""
     if fmt == "json":
@@ -65,13 +84,14 @@ def _emit(fmt: str, record, header, rows, plain) -> None:
 
 
 def _emit_series(f: PowerSeries, fmt: str) -> None:
-    _emit(
-        fmt,
-        series_to_json_dict(f),
-        SERIES_CSV_HEADER,
-        series_to_csv_rows(f),
-        ", ".join(_rational_str(c) for c in f.coefficients),
-    )
+    with _long_ints():
+        _emit(
+            fmt,
+            series_to_json_dict(f),
+            SERIES_CSV_HEADER,
+            series_to_csv_rows(f),
+            ", ".join(_rational_str(c) for c in f.coefficients),
+        )
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -116,23 +136,24 @@ def cmd_alien(args) -> int:
         if args.family == "C"
         else alien.alien_two_connected(args.order)
     )
-    record = {
-        "family": args.family,
-        "e_exp": {
-            "num": str(image.e_exp.numerator),
-            "den": str(image.e_exp.denominator),
-        },
-        "sqrt_two_pi_exp": image.sqrt_two_pi_exp,
-        "series": series_to_json_dict(image.series),
-    }
-    plain = (
-        f"prefactor: e^{_rational_str(image.e_exp)} "
-        f"* (2*pi)^({image.sqrt_two_pi_exp}/2)\n"
-        + ", ".join(_rational_str(c) for c in image.series.coefficients)
-    )
-    _emit(
-        args.format, record, SERIES_CSV_HEADER, series_to_csv_rows(image.series), plain
-    )
+    with _long_ints():
+        record = {
+            "family": args.family,
+            "e_exp": {
+                "num": str(image.e_exp.numerator),
+                "den": str(image.e_exp.denominator),
+            },
+            "sqrt_two_pi_exp": image.sqrt_two_pi_exp,
+            "series": series_to_json_dict(image.series),
+        }
+        plain = (
+            f"prefactor: e^{_rational_str(image.e_exp)} "
+            f"* (2*pi)^({image.sqrt_two_pi_exp}/2)\n"
+            + ", ".join(_rational_str(c) for c in image.series.coefficients)
+        )
+        _emit(
+            args.format, record, SERIES_CSV_HEADER, series_to_csv_rows(image.series), plain
+        )
     return 0
 
 
@@ -156,21 +177,22 @@ def cmd_estimate(args) -> int:
     )
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "R", "estimate", "exact", "rel_error", "norm_error"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.n,
-                row.terms,
-                row.estimate.to_decimal_string(),
-                row.exact,
-                asymptotics.format_significant(row.relative_error, 6)
-                if row.relative_error
-                else "0",
-                asymptotics.format_significant(row.normalized_error, 6)
-                if row.normalized_error
-                else "0",
-            ]
-        )
+    with _long_ints():
+        for row in rows:
+            writer.writerow(
+                [
+                    row.n,
+                    row.terms,
+                    row.estimate.to_decimal_string(),
+                    row.exact,
+                    asymptotics.format_significant(row.relative_error, 6)
+                    if row.relative_error
+                    else "0",
+                    asymptotics.format_significant(row.normalized_error, 6)
+                    if row.normalized_error
+                    else "0",
+                ]
+            )
     return 0
 
 

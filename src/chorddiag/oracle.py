@@ -11,7 +11,10 @@ extension module is available and to a pure-Python twin otherwise; both
 enumerate diagrams in the same deterministic order (smallest free position
 is matched first, partners tried left to right), skip the same disconnected
 subtrees and read connectivity off the intervals of positions, as
-``_census_py`` explains.
+``_census_py`` explains. The decomposition-case census drives the
+pure-Python walker, so it visits only the connected diagrams, and runs the
+same start-1 witness sweep as ``decompose_connected`` on each one that has
+a cut chord.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ChordDiagram:
     __slots__ = ("_pairing",)
 
     def __init__(self, pairing):
-        p = tuple(int(v) for v in pairing)
+        p = tuple(map(int, pairing))
         size = len(p)
         if size % 2 != 0:
             raise ValueError("a diagram has an even number of endpoints")
@@ -213,31 +216,36 @@ def enumerate_diagrams(
         yield EMPTY_DIAGRAM
         return
     size = 2 * n
-    partner = [0] * (size + 1)
-
-    def fill(first_free: int) -> Iterator[ChordDiagram]:
-        i = first_free
-        while i <= size and partner[i]:
-            i += 1
-        if i > size:
-            yield ChordDiagram(partner[1:])
-            return
-        for j in range(i + 1, size + 1):
-            if not partner[j]:
-                partner[i] = j
-                partner[j] = i
-                yield from fill(i + 1)
-                partner[i] = 0
-                partner[j] = 0
-
+    partner = [0] * (size + 2)  # 1-based; the free slot size + 1 ends each search
     if root_partner is not None:
         if not 2 <= root_partner <= size:
             raise ValueError(f"root partner must lie in 2..{size}")
         partner[1] = root_partner
         partner[root_partner] = 1
-        yield from fill(2)
-    else:
-        yield from fill(1)
+    # Depth first, with the placed chords (i, j) on an explicit stack: i was
+    # the smallest free position when the chord was placed, j its partner.
+    stack = []
+    i = j = partner.index(0, 1)
+    if i > size:  # n = 1 with the root's partner pinned
+        yield ChordDiagram(partner[1:-1])
+        return
+    while True:
+        j = partner.index(0, j + 1)
+        if j > size:  # every partner of i tried: take back the chord before
+            if not stack:
+                return
+            i, j = stack.pop()
+            partner[i] = partner[j] = 0
+            continue
+        partner[i] = j
+        partner[j] = i
+        first_free = partner.index(0, i + 1)
+        if first_free > size:
+            yield ChordDiagram(partner[1:-1])
+            partner[i] = partner[j] = 0
+        else:
+            stack.append((i, j))
+            i = j = first_free
 
 
 def is_connected(diagram: ChordDiagram) -> bool:
@@ -265,6 +273,8 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     if not graph.is_connected():
         return False
     bits = [1 << c for c in range(n)]
+    if k == 2:  # the common case: one removal per chord
+        return all(map(graph._connected_without, bits))
     return all(
         graph._connected_without(sum(removed))
         for r in range(1, min(k - 1, n - 1) + 1)
@@ -511,11 +521,29 @@ def k_connected_census(n: int, k: int, cap: Optional[int] = DEFAULT_CAP) -> int:
 
 
 def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionCase, int]:
-    """Decomposition-case counts over all connected diagrams on n chords."""
+    """Decomposition-case counts over all connected diagrams on n chords.
+
+    The pure-Python census walker visits exactly the connected diagrams and
+    flags those with a cut chord. A diagram on n >= 2 chords without one
+    has no witness interval, so it is root-free; one with a cut chord gets
+    the start-1 witness sweep of ``_case``.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _check_cap("census", n, cap)
     counts = {case: 0 for case in DecompositionCase}
-    for diagram in enumerate_diagrams(n, cap=cap):
-        if diagram.n and is_connected(diagram):
-            counts[_case(diagram)] += 1
+    if n == 1:
+        counts[DecompositionCase.SINGLE_CHORD] = 1
+    elif n >= 2:
+        by_case = [0, 0]  # root-free, root-covered
+
+        def visit(partner: list[int], cut: bool) -> None:
+            # _reasons reads 1-based partners and yields truthy witnesses
+            root_covered = cut and any(_reasons([q + 1 for q in partner], (1,)))
+            by_case[root_covered] += 1
+
+        _census_py._walk(n, 0, visit)
+        counts[DecompositionCase.ROOT_FREE], counts[DecompositionCase.ROOT_COVERED] = by_case
     return counts
 
 

@@ -140,21 +140,23 @@ class QedGraph:
     root_position: int
 
     def __init__(self, path_length, photons, root_position):
-        photons = tuple(sorted((u, v) if u < v else (v, u) for u, v in photons))
-        object.__setattr__(self, "path_length", int(path_length))
+        photons = tuple(sorted([(u, v) if u < v else (v, u) for u, v in photons]))
+        length = int(path_length)
+        root = int(root_position)
+        object.__setattr__(self, "path_length", length)
         object.__setattr__(self, "photons", photons)
-        object.__setattr__(self, "root_position", int(root_position))
-        covered = [0] * (self.path_length + 1)
-        if not 1 <= self.root_position <= self.path_length:
+        object.__setattr__(self, "root_position", root)
+        if not 1 <= root <= length:
             raise ValueError("the external photon must attach to a path vertex")
-        covered[self.root_position] += 1
+        covered = [0] * (length + 1)
+        covered[root] = 1
         for u, v in photons:
-            if not 1 <= u < v <= self.path_length:
+            if not 1 <= u < v <= length:
                 raise ValueError(f"photon ({u},{v}) leaves the path")
             covered[u] += 1
             covered[v] += 1
-        if covered.count(1) != self.path_length:
-            bad = [i for i in range(1, self.path_length + 1) if covered[i] != 1]
+        if covered.count(1) != length:
+            bad = [i for i in range(1, length + 1) if covered[i] != 1]
             raise ValueError(
                 f"vertices {bad} do not carry exactly one photon endpoint"
             )

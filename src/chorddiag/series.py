@@ -20,6 +20,10 @@ Rational = Fraction
 Coefficient = Union[int, Fraction]
 
 
+class ReversionError(ValueError):
+    """Raised when a reverted series fails its exact composition check."""
+
+
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -297,15 +301,28 @@ class PowerSeries:
     # -- composition and inverses ----------------------------------------------
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Horner evaluation of self at ``inner``; inner must have c0 = 0."""
+        """Horner evaluation of self at ``inner``; inner must have c0 = 0.
+
+        Runs on ints. With self = c/dc and inner = g/dg for int lists c and
+        g, the Horner values h_n = c_n/dc, h_k = h_(k+1)*inner + c_k/dc
+        scale to the int lists t_k = dc*dg^(n-k)*h_k, which satisfy
+        t_k = t_(k+1)*g + dg^(n-k)*c_k; the result is t_0/(dc*dg^n), one
+        division per coefficient. Since inner = O(x), only the coefficients
+        0..n-k of h_k reach the result, so t_k is kept to that order.
+        """
         if inner[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        result = PowerSeries.constant(self._coeffs[n], n)
+        c, dc = _cleared(self._coeffs[: n + 1])  # Fraction entries, so dc and dg are ints
+        g, dg = _cleared(inner._coeffs[: n + 1])
+        t = [c[n]]
+        scale = 1  # dg^(n-k)
         for k in range(n - 1, -1, -1):
-            result = result * g + self._coeffs[k]
-        return result
+            scale *= dg
+            t = truncated_product(t, g, n - k)
+            t[0] = scale * c[k]  # g[0] = 0, so the product's constant term is 0
+        d = dc * scale
+        return PowerSeries([Fraction(v, d) for v in t])
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse; requires c0 != 0."""
@@ -328,7 +345,7 @@ class PowerSeries:
         solved = solve_composition(tangent, [0, 1] + [0] * (n - 1), n)
         g = PowerSeries([h / c1**k for k, h in enumerate(solved)])
         if self.compose(g) != PowerSeries.x(n):
-            raise AssertionError("reversion failed its exact composition check")
+            raise ReversionError("reversion failed its exact composition check")
         return g
 
     # -- analytic combinators ---------------------------------------------------

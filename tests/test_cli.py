@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from chorddiag import gf
-from chorddiag.cli import main
+from chorddiag.cli import _emit_series, main
 from chorddiag.series import PowerSeries, series_from_json_dict
 
 
@@ -53,6 +55,28 @@ class TestSeries:
         with pytest.raises(SystemExit) as info:
             main(["series", "--family", "X"])
         assert info.value.code == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_coefficients_past_the_int_digit_limit(self, capsys):
+        sevens = "7" * 5000
+        f = PowerSeries([(10**5000 - 1) // 9 * 7, Fraction(1, 3)])
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            _emit_series(f, "json")
+            data = json.loads(capsys.readouterr().out)
+            assert data["coefficients"][0] == {"num": sevens, "den": "1"}
+            assert sys.get_int_max_str_digits() == 4300
+            _emit_series(f, "csv")
+            assert capsys.readouterr().out.splitlines()[1] == f"0,{sevens},1"
+            assert sys.get_int_max_str_digits() == 4300
+            _emit_series(f, "plain")
+            assert capsys.readouterr().out.strip() == f"{sevens}, 1/3"
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestEnumerate:
@@ -156,6 +180,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "chain-rule", "--order", "8")
         assert code == 0
         assert out.count("PASS") == 3
+
+    def test_failed_reversion_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            PowerSeries, "compose", lambda self, inner: PowerSeries.zero(self.order)
+        )
+        code, _, err = run(capsys, "verify", "--suite", "proposition", "--order", "8")
+        assert code == 2
+        assert err.startswith("error: reversion failed its exact composition check")
 
     def test_bijection(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bijection", "--order", "5")

@@ -40,6 +40,8 @@ class TestChordDiagram:
             ChordDiagram([1, 2])
         with pytest.raises(ValueError, match="even"):
             ChordDiagram([2, 1, 3])
+        with pytest.raises(ValueError, match="partner 5 of position 3 out of range"):
+            ChordDiagram([2, 1, 5, 3])
 
     def test_chords_and_root(self):
         assert CROSSING.chords() == ((1, 3), (2, 4))
@@ -76,6 +78,39 @@ class TestEnumeration:
         for rp in range(2, 7):
             parts.extend(enumerate_diagrams(3, root_partner=rp))
         assert sorted(d.pairing for d in parts) == sorted(d.pairing for d in whole)
+
+    def test_order_matches_recursive_reference(self):
+        def reference(n, root_partner):
+            """The recursive enumeration: smallest free position, partners left to right."""
+            size = 2 * n
+            partner = [0] * (size + 1)
+
+            def fill(first_free):
+                i = first_free
+                while i <= size and partner[i]:
+                    i += 1
+                if i > size:
+                    yield tuple(partner[1:])
+                    return
+                for j in range(i + 1, size + 1):
+                    if not partner[j]:
+                        partner[i], partner[j] = j, i
+                        yield from fill(i + 1)
+                        partner[i] = partner[j] = 0
+
+            if root_partner:
+                partner[1], partner[root_partner] = root_partner, 1
+            yield from fill(1)
+
+        for n in range(1, 6):
+            for rp in [None, *range(2, 2 * n + 1)]:
+                got = [d.pairing for d in enumerate_diagrams(n, root_partner=rp)]
+                assert got == list(reference(n, rp)), (n, rp)
+
+    def test_bad_root_partner(self):
+        for rp in (1, 7):
+            with pytest.raises(ValueError, match="root partner"):
+                next(enumerate_diagrams(3, root_partner=rp))
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match="cap of 8"):
@@ -270,6 +305,29 @@ class TestDecomposition:
             counts[DecompositionCase.ROOT_COVERED]
             == rows["(C-x)/x * C^2 * [C2(t)/t^2]"][7]
         )
+
+    def test_case_census_matches_graph_search(self):
+        """The walker-driven census equals the count over the graph-search route."""
+        for n in range(1, 7):
+            expected = {case: 0 for case in DecompositionCase}
+            for d in enumerate_diagrams(n):
+                if is_connected(d):
+                    expected[oracle._case(d)] += 1
+            assert oracle.case_census(n) == expected, n
+
+    def test_case_census_edges(self):
+        assert set(oracle.case_census(0).values()) == {0}
+        assert oracle.case_census(1) == {
+            DecompositionCase.SINGLE_CHORD: 1,
+            DecompositionCase.ROOT_FREE: 0,
+            DecompositionCase.ROOT_COVERED: 0,
+        }
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle.case_census(-1)
+        with pytest.raises(CapExceededError, match="cap of 8"):
+            oracle.case_census(9)
+        with pytest.raises(CapExceededError, match="cap of 4"):
+            oracle.case_census(5, cap=4)
 
     def test_round_trip_exhaustive(self):
         for n in range(1, 6):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chorddiag import gf
 from chorddiag.series import (
     PowerSeries,
+    ReversionError,
     series_from_csv_rows,
     series_from_json_dict,
     series_to_csv_rows,
@@ -140,6 +141,14 @@ class TestReverse:
         with pytest.raises(ValueError, match="not reversible"):
             PowerSeries([0, 0, 1]).reverse()
 
+    def test_failed_check_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(
+            PowerSeries, "compose", lambda self, inner: PowerSeries.zero(self.order)
+        )
+        with pytest.raises(ReversionError, match="composition check") as info:
+            PowerSeries([0, 1, 1]).reverse()
+        assert isinstance(info.value, ValueError)
+
 
 class TestAnalytic:
     def test_sequences_row(self):
@@ -209,7 +218,43 @@ def series_strategy(order: int, first=None):
     ).map(build)
 
 
+def reference_compose(f: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """Horner evaluation over series products: the definition compose must meet."""
+    n = min(f.order, inner.order)
+    g = inner.truncate(n)
+    result = PowerSeries.constant(f[n], n)
+    for k in range(n - 1, -1, -1):
+        result = result * g + f[k]
+    return result
+
+
+integer_coefficients = st.integers(min_value=-20, max_value=20)
+
+
+def any_series(elements):
+    return st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.lists(elements, min_size=n + 1, max_size=n + 1)
+    ).map(PowerSeries)
+
+
+def inner_series(elements):
+    return st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n)
+    ).map(lambda tail: PowerSeries([0, *tail]))
+
+
 class TestProperties:
+    @given(
+        any_series(st.one_of(integer_coefficients, small_rationals)),
+        st.one_of(inner_series(integer_coefficients), inner_series(small_rationals)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_compose_matches_series_horner(self, f, inner):
+        got = f.compose(inner)
+        assert got.order == min(f.order, inner.order)
+        assert got.coefficients == reference_compose(f, inner).coefficients
+
+
     @given(series_strategy(6), series_strategy(6), series_strategy(6))
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, f, g, h):
