@@ -23,6 +23,16 @@
  * 2..k-1 chords. The walk runs without the GIL, so root-partner partitions
  * of one census overlap on a thread pool.
  *
+ * After opening a chord at the free position b, the closes at b+1..f-1,
+ * where f is the next free position, have partners before b and do not
+ * depend on b's partner. So they run once, before the loop over partners
+ * j >= f, and each child starts at f. This hoisted run keeps the cut test
+ * and drops the closed test, which cannot fire there: each interval it
+ * would test, [a, q] with a <= p < b < q, contains b, whose partner lies
+ * beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
+ * the chord (b, b+1) closes the proper interval [b, b+1], so its
+ * completions go to level 0 at once.
+ *
  * The counts live in one unsigned __int128: field a, WIDTH bits wide with a
  * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
  * adds 1 to fields 0..b; closing one at b with partner p adds 1 to fields
@@ -111,7 +121,8 @@ static int removal_level(const Walk *w)
 }
 
 /* Close the taken positions from b on, then open a chord c at the first
- * free one and try each free partner for it. */
+ * free one, run the closes up to the next free position f once, and try
+ * each free partner j >= f for it; each child starts at f. */
 static void place(Walk *w, int b, int c, state_t state, int cut)
 {
     int p;
@@ -134,12 +145,27 @@ static void place(Walk *w, int b, int c, state_t state, int cut)
         return;
     }
     state += w->opens[b];
-    for (int j = b + 1; j < w->size; j++) {
+    int f = b + 1;
+    while ((p = w->partner[f]) >= 0) {  /* b's partner is still free, so f < size */
+        const Close *t = &w->closes[f][p];
+        if (!cut) {
+            state_t y = state ^ t->twos;
+            cut = ((y - t->near) & ~y & t->near_highs) != 0;
+        }
+        state += t->update;
+        f++;
+    }
+    int start = f;
+    if (f == b + 1 && w->n >= 2) {  /* (b, b+1) closes a proper interval */
+        w->hist[0] += w->rest[c + 1];
+        start++;
+    }
+    for (int j = start; j < w->size; j++) {
         if (w->partner[j] >= 0)
             continue;
         w->partner[b] = j;
         w->partner[j] = b;
-        place(w, b + 1, c + 1, state, cut);
+        place(w, f, c + 1, state, cut);
         w->partner[j] = -1;
     }
     w->partner[b] = -1;

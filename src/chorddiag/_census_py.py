@@ -27,10 +27,17 @@ into a classification:
 So every diagram the walk reaches is connected, and for k <= 2 its level is
 read off ``cut``. Only for k >= 3 does a leaf without a cut build its
 crossing masks and search the graph left by each removal of 2..k-1 chords.
+
+The closes between a new chord and the next free position do not depend on
+that chord's partner, so they run once per node, not once per child, and
+without the closed test, which cannot fire there (``_walk`` says why). The
+child whose chord joins two adjacent positions is counted as skipped
+without being entered.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, combinations
 
 
@@ -70,6 +77,44 @@ def _crossing_masks(partner: list[int]) -> list[int]:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[tuple, tuple, tuple]:
+    """The walk's ``opens``, ``closes`` and ``rest`` tables for n chords.
+
+    Built on first use and shared by every walk on n chords, so they are
+    tuples: no walk can change them for the next.
+
+    Field a of the packed state is ``width`` bits wide with a spare top bit.
+    ``opens[b]`` has ones over fields 0..b. ``closes[b][p]`` holds the
+    tests and the update for closing (p, b): ones and top bits over the
+    fields tested for a closed interval, twos, ones and top bits over those
+    tested for a cut, and the update. ``rest[c]`` is (2(n - c) - 1)!!, the
+    completions of c placed chords.
+    """
+    size = 2 * n
+    width = (size + 1).bit_length() + 1
+
+    def ones(lo: int, hi: int) -> int:
+        return sum(1 << a * width for a in range(lo, hi + 1))
+
+    opens = [ones(0, b) for b in range(size)]
+    closes = []
+    for b in range(size):
+        row = []
+        for p in range(b):
+            closed = ones(1 if b == size - 1 else 0, p)  # [0, 2n-1] is the whole diagram
+            near = ones(max(0, b - size + 4), p)  # at most 2n-3 positions
+            row.append((
+                closed, closed << width - 1, near << 1, near, near << width - 1,
+                ones(p + 1, b) - ones(0, p),
+            ))
+        closes.append(tuple(row))
+    rest = [1] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        rest[c] = rest[c + 1] * (2 * (n - c) - 1)
+    return tuple(opens), tuple(closes), tuple(rest)
+
+
 def _walk(n: int, root_partner: int, visit) -> int:
     """Call ``visit(partner, cut)`` once per connected diagram on n chords.
 
@@ -80,39 +125,29 @@ def _walk(n: int, root_partner: int, visit) -> int:
     position, 0 for unrestricted) pins the partner of position 1. Returns the
     number of diagrams skipped, all of them disconnected.
 
-    The counts live in one integer: field a, ``width`` bits wide with a
-    spare top bit, holds the external count of [a, b-1] while position b is
-    next. Opening a chord at b adds 1 to fields 0..b; closing one at b with
-    partner p adds 1 to fields p+1..b and takes 1 from fields 0..p. A field
-    a <= p about to drop to 0 marks [a, b] closed, and one about to drop to
-    1 marks a cut when [a, b] is short enough. Each is found by the
-    zero-field test ``(y - ones) & ~y & highs`` on ``y = state ^ value``,
-    with ``ones`` only over the tested fields: a zero field below them would
-    otherwise borrow and give a false hit.
+    The counts live in one integer: field a holds the external count of
+    [a, b-1] while position b is next. Opening a chord at b adds 1 to fields
+    0..b; closing one at b with partner p adds 1 to fields p+1..b and takes
+    1 from fields 0..p. A field a <= p about to drop to 0 marks [a, b]
+    closed, and one about to drop to 1 marks a cut when [a, b] is short
+    enough. Each is found by the zero-field test ``(y - ones) & ~y & highs``
+    on ``y = state ^ value``, with ``ones`` only over the tested fields: a
+    zero field below them would otherwise borrow and give a false hit.
+
+    After opening a chord at the free position b, the closes at b+1..f-1,
+    where f is the next free position, have partners before b and do not
+    depend on b's partner. So they run once, before the loop over partners
+    j >= f, and each child starts at f. This hoisted run keeps the cut test
+    and drops the closed test, which cannot fire there: each interval it
+    would test, [a, q] with a <= p < b < q, contains b, whose partner lies
+    beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
+    the chord (b, b+1) closes the proper interval [b, b+1], so all of its
+    completions are skipped at once.
     """
     size = 2 * n
     if root_partner and not 2 <= root_partner <= size:
         raise ValueError(f"root partner must lie in 2..{size}")
-    width = (size + 1).bit_length() + 1
-
-    def ones(lo: int, hi: int) -> int:
-        return sum(1 << a * width for a in range(lo, hi + 1))
-
-    opens = [ones(0, b) for b in range(size)]
-    closes = []  # closes[b][p]: the tests and the update for closing (p, b)
-    for b in range(size):
-        row = []
-        for p in range(b):
-            closed = ones(1 if b == size - 1 else 0, p)  # [0, 2n-1] is the whole diagram
-            near = ones(max(0, b - size + 4), p)  # at most 2n-3 positions
-            row.append((
-                closed, closed << width - 1, near << 1, near, near << width - 1,
-                ones(p + 1, b) - ones(0, p),
-            ))
-        closes.append(row)
-    rest = [1] * (n + 1)  # rest[c] = (2(n - c) - 1)!!, completions of c placed chords
-    for c in range(n - 1, -1, -1):
-        rest[c] = rest[c + 1] * (2 * (n - c) - 1)
+    opens, closes, rest = _tables(n)
     partner = [-1] * size
     skipped = 0
 
@@ -133,11 +168,23 @@ def _walk(n: int, root_partner: int, visit) -> int:
             visit(partner, cut)
             return
         state += opens[b]
-        for j in range(b + 1, size):
+        f = b + 1
+        while (p := partner[f]) >= 0:  # b's partner is still free, so f < size
+            _, _, twos, near, near_highs, update = closes[f][p]
+            if not cut:
+                y = state ^ twos
+                cut = (y - near) & ~y & near_highs != 0
+            state += update
+            f += 1
+        start = f
+        if f == b + 1 and n >= 2:  # (b, b+1) closes a proper interval
+            skipped += rest[c + 1]
+            start += 1
+        for j in range(start, size):
             if partner[j] < 0:
                 partner[b] = j
                 partner[j] = b
-                place(b + 1, c + 1, state, cut)
+                place(f, c + 1, state, cut)
                 partner[j] = -1
         partner[b] = -1
 

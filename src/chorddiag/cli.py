@@ -20,7 +20,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import alien, asymptotics, gf, oracle, qft
+from . import _census_py, alien, asymptotics, gf, oracle, qft
 from .series import PowerSeries, series_to_csv_rows, series_to_json_dict
 
 DEFAULT_ORDER = 30
@@ -279,17 +279,27 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
             )
         )
     roundtrip_top = min(5, cap)
-    bad = 0
-    for n in range(1, roundtrip_top + 1):
-        for diagram in oracle.enumerate_diagrams(n, cap=cap):
-            if diagram.n and oracle.is_connected(diagram):
-                if oracle.recompose(oracle.decompose_connected(diagram)) != diagram:
-                    bad += 1
+    bad = seen = 0
+
+    def round_trip(partner: list[int], cut: bool) -> None:
+        nonlocal bad, seen
+        seen += 1
+        diagram = oracle.ChordDiagram([q + 1 for q in partner])
+        try:
+            ok = oracle.recompose(oracle.decompose_connected(diagram)) == diagram
+        except ValueError:
+            ok = False
+        bad += not ok
+
+    for n in range(1, roundtrip_top + 1):  # the walker visits exactly the connected diagrams
+        _census_py._walk(n, 0, round_trip)
+    connected = gf.series_connected(roundtrip_top)
+    expected = sum(connected[n] for n in range(1, roundtrip_top + 1))
     results.append(
         (
             f"proposition: decompose/recompose identity for n <= {roundtrip_top}",
-            bad == 0,
-            f"{bad} failures" if bad else "",
+            bad == 0 and seen == expected,
+            f"{bad} failures over {seen} connected diagrams, {expected} expected",
         )
     )
     return results

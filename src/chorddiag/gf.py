@@ -54,19 +54,26 @@ def series_all_diagrams(order: int) -> PowerSeries:
     return PowerSeries([double_factorial_odd(n) for n in range(order + 1)])
 
 
+def _pair_sum(y: list[int], k: int) -> int:
+    """The sum of y_i * y_j over i + j = k with i, j >= 1, by symmetry."""
+    half = sum(y[i] * y[k - i] for i in range(1, (k + 1) // 2))
+    return 2 * half + (y[k // 2] ** 2 if k % 2 == 0 else 0)
+
+
 @lru_cache(maxsize=None)
 def series_connected(order: int) -> PowerSeries:
     """C: coefficient n counts connected diagrams on n chords.
 
     Recurrence: C_1 = 1 and C_n = (n-1) * sum(C_i * C_{n-i}, i=1..n-1),
-    the coefficient form of 2xCC' = C(1+C) - x.
+    the coefficient form of 2xCC' = C(1+C) - x. The sum is symmetric in i
+    and n-i, so ``_pair_sum`` takes half of it.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     c = [0] * (order + 1)
     c[1] = 1
     for n in range(2, order + 1):
-        c[n] = (n - 1) * sum(c[i] * c[n - i] for i in range(1, n))
+        c[n] = (n - 1) * _pair_sum(c, n)
     return PowerSeries(c)
 
 
@@ -75,12 +82,6 @@ def connected_sq_div_x(order: int) -> PowerSeries:
     """C^2/x, the inner series relating connected and 2-connected counts."""
     c = integer_coefficients(series_connected(order + 1))
     return PowerSeries(truncated_product(c, c, order + 1)[1:])
-
-
-def _pair_sum(y: list[int], k: int) -> int:
-    """The sum of y_i * y_j over i + j = k with i, j >= 2, by symmetry."""
-    half = sum(y[i] * y[k - i] for i in range(2, (k + 1) // 2))
-    return 2 * half + (y[k // 2] ** 2 if k % 2 == 0 else 0)
 
 
 @lru_cache(maxsize=None)
@@ -94,9 +95,9 @@ def series_two_connected(order: int) -> PowerSeries:
 
         y_m = -2*y_{m-1} + m * P_{m+1} + P_m,
 
-    where P_k sums y_i * y_j over i + j = k with i, j >= 2. P_{m+1} reaches
-    only up to y_{m-1}, and it is the P_m of the next step, so each
-    coefficient costs one convolution of integers.
+    where P_k sums y_i * y_j over i + j = k (only i, j >= 2 contribute).
+    P_{m+1} reaches only up to y_{m-1}, and it is the P_m of the next step,
+    so each coefficient costs one convolution of integers.
     """
     if order < 2:
         raise ValueError("order must be at least 2")

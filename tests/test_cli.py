@@ -239,6 +239,45 @@ class TestVerify:
         assert "FAIL proposition: decomposition case census at n=4" in out
         assert out.count("FAIL") == 1
 
+    def test_proposition_round_trip_error_is_a_failed_line(self, capsys, monkeypatch):
+        from chorddiag import oracle
+
+        original = oracle.decompose_connected
+
+        def failing(diagram):
+            if diagram.n == 3:
+                raise ValueError("planted")
+            return original(diagram)
+
+        monkeypatch.setattr(oracle, "decompose_connected", failing)
+        code, out, _ = run(capsys, "verify", "--suite", "proposition", "--order", "5")
+        assert code == 1
+        assert "FAIL proposition: decompose/recompose identity for n <= 5" in out
+        assert "4 failures over 281 connected diagrams" in out  # C_3 = 4
+        assert out.count("FAIL") == 1
+
+    def test_proposition_round_trip_counts_its_diagrams(self, capsys, monkeypatch):
+        from chorddiag import _census_py
+
+        original = _census_py._walk
+
+        def dropping(n, root_partner, visit):
+            first = [n == 4]
+
+            def keep_all_but_first(partner, cut):
+                if first[0]:
+                    first[0] = False
+                else:
+                    visit(partner, cut)
+
+            return original(n, root_partner, keep_all_but_first)
+
+        monkeypatch.setattr(_census_py, "_walk", dropping)
+        code, out, _ = run(capsys, "verify", "--suite", "proposition", "--order", "5")
+        assert code == 1
+        assert "FAIL proposition: decompose/recompose identity for n <= 5" in out
+        assert "0 failures over 280 connected diagrams, 281 expected" in out
+
     def test_chain_rule_prefactor_failure_names_the_prefactor(self, capsys, monkeypatch):
         from chorddiag import alien
 

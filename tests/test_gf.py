@@ -45,6 +45,13 @@ class TestConnected:
     def test_root_removal_identity(self):
         assert gf.check_connected_root_removal(40)
 
+    def test_half_convolution_equals_full_range_recurrence(self):
+        order = 300
+        c = [0, 1] + [0] * (order - 1)
+        for n in range(2, order + 1):
+            c[n] = (n - 1) * sum(c[i] * c[n - i] for i in range(1, n))
+        assert gf.series_connected(order).coefficients == tuple(c)
+
     def test_lemma_checks_all_orders(self):
         for order in (6, 15, 40):
             assert all(ok for _, ok in gf.lemma_checks(order))

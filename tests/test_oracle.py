@@ -444,6 +444,7 @@ class TestCensusBackends:
 
                 skipped = _census_py._walk(n, rp, visit)
                 assert leaves == expected, (n, rp)
+                assert list(leaves) == list(expected), (n, rp)  # enumeration order
                 assert len(leaves) + skipped == odd_double_factorial(n - 1 if rp else n)
                 if (n, rp) == (6, 0):
                     assert len(leaves) == 2830
