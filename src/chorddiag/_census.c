@@ -31,7 +31,11 @@
  * would test, [a, q] with a <= p < b < q, contains b, whose partner lies
  * beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
  * the chord (b, b+1) closes the proper interval [b, b+1], so its
- * completions go to level 0 at once.
+ * completions go to level 0 at once. When the chord at b is the last one,
+ * f is the only free position left, so no child is entered either: the
+ * parent pairs b with f, runs the closes f..2n-1 with both tests through
+ * the same close_run() as the leading closes, counts the one diagram at
+ * level 0 on a closed hit and classifies it otherwise.
  *
  * The counts live in one unsigned __int128: field a, WIDTH bits wide with a
  * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
@@ -120,28 +124,45 @@ static int removal_level(const Walk *w)
     return w->top;
 }
 
+/* Run the closes from b on, up to the next free position or the end, with
+ * both tests. Returns that position, or -1 when a proper interval closes. */
+static inline int close_run(const Walk *w, int b, state_t *state, int *cut)
+{
+    int p;
+    for (; b < w->size && (p = w->partner[b]) >= 0; b++) {
+        const Close *t = &w->closes[b][p];
+        state_t y = *state ^ t->closed;
+        if ((y - t->closed) & ~y & t->closed_highs)
+            return -1;
+        if (!*cut) {
+            y = *state ^ t->twos;
+            *cut = ((y - t->near) & ~y & t->near_highs) != 0;
+        }
+        *state += t->update;
+    }
+    return b;
+}
+
+/* Level of a finished connected diagram. */
+static inline int leaf_level(const Walk *w, int cut)
+{
+    return cut ? 1 : w->nkept ? removal_level(w) : w->top;
+}
+
 /* Close the taken positions from b on, then open a chord c at the first
  * free one, run the closes up to the next free position f once, and try
- * each free partner j >= f for it; each child starts at f. */
+ * each free partner j >= f for it; each child starts at f. The last chord
+ * can only take f, so it is placed and its closes run here, with no child. */
 static void place(Walk *w, int b, int c, state_t state, int cut)
 {
     int p;
-    while (b < w->size && (p = w->partner[b]) >= 0) {
-        const Close *t = &w->closes[b][p];
-        state_t y = state ^ t->closed;
-        if ((y - t->closed) & ~y & t->closed_highs) {
-            w->hist[0] += w->rest[c];
-            return;
-        }
-        if (!cut) {
-            y = state ^ t->twos;
-            cut = ((y - t->near) & ~y & t->near_highs) != 0;
-        }
-        state += t->update;
-        b++;
+    b = close_run(w, b, &state, &cut);
+    if (b < 0) {
+        w->hist[0] += w->rest[c];
+        return;
     }
     if (b == w->size) {
-        w->hist[cut ? 1 : w->nkept ? removal_level(w) : w->top]++;
+        w->hist[leaf_level(w, cut)]++;
         return;
     }
     state += w->opens[b];
@@ -159,6 +180,15 @@ static void place(Walk *w, int b, int c, state_t state, int cut)
     if (f == b + 1 && w->n >= 2) {  /* (b, b+1) closes a proper interval */
         w->hist[0] += w->rest[c + 1];
         start++;
+    }
+    if (c + 1 == w->n) {  /* the last chord: f is the only free partner left */
+        if (start == f) {
+            w->partner[b] = f;
+            w->partner[f] = b;
+            w->hist[close_run(w, f, &state, &cut) < 0 ? 0 : leaf_level(w, cut)]++;
+            w->partner[b] = w->partner[f] = -1;
+        }
+        return;
     }
     for (int j = start; j < w->size; j++) {
         if (w->partner[j] >= 0)

@@ -32,7 +32,9 @@ The closes between a new chord and the next free position do not depend on
 that chord's partner, so they run once per node, not once per child, and
 without the closed test, which cannot fire there (``_walk`` says why). The
 child whose chord joins two adjacent positions is counted as skipped
-without being entered.
+without being entered. The last chord enters no child at all: its only
+possible partner is the next free position, so the parent places it, runs
+the remaining closes and visits the leaf itself.
 """
 
 from __future__ import annotations
@@ -143,7 +145,16 @@ def _walk(n: int, root_partner: int, visit) -> int:
     beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
     the chord (b, b+1) closes the proper interval [b, b+1], so all of its
     completions are skipped at once.
+
+    When the chord opened at b is the n-th one and f is not the skipped
+    b+1, its partner can only be f, the one other free position. So the
+    parent pairs b with f and runs the closes f..2n-1 itself, with both
+    tests, instead of calling ``place`` once more per leaf. A closed
+    hit there skips the single completion, rest[n] = 1; otherwise the leaf
+    is visited. Both partner entries are restored before ``place`` returns.
     """
+    if n < 0:
+        raise ValueError("n must be at least 0")
     size = 2 * n
     if root_partner and not 2 <= root_partner <= size:
         raise ValueError(f"root partner must lie in 2..{size}")
@@ -180,6 +191,26 @@ def _walk(n: int, root_partner: int, visit) -> int:
         if f == b + 1 and n >= 2:  # (b, b+1) closes a proper interval
             skipped += rest[c + 1]
             start += 1
+        if c + 1 == n:  # the last chord: f is the only free partner left
+            if start == f:
+                partner[b] = f
+                partner[f] = b
+                q = f
+                while q < size:
+                    closed, closed_highs, twos, near, near_highs, update = closes[q][partner[q]]
+                    y = state ^ closed
+                    if (y - closed) & ~y & closed_highs:
+                        skipped += 1  # rest[n]
+                        break
+                    if not cut:
+                        y = state ^ twos
+                        cut = (y - near) & ~y & near_highs != 0
+                    state += update
+                    q += 1
+                else:
+                    visit(partner, cut)
+                partner[b] = partner[f] = -1
+            return
         for j in range(start, size):
             if partner[j] < 0:
                 partner[b] = j
@@ -206,6 +237,8 @@ def _census(n: int, k: int, root_partner: int = 0) -> list[int]:
     2..k-1 chords that disconnects it, or min(k, n). The diagrams it skips
     are disconnected and count at level 0, as does the empty diagram.
     """
+    if n < 0:
+        raise ValueError("n must be at least 0")
     full = (1 << n) - 1
     kept = [  # chords left after each removal, ascending in the number removed
         full & ~sum(1 << c for c in removed)
@@ -241,6 +274,8 @@ def class_census(n: int, root_partner: int = 0) -> tuple[int, int, int]:
 
 def k_connected_count(n: int, k: int) -> int:
     """Count of k-connected diagrams on n chords (removal characterization)."""
-    if n < k:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if 0 <= n < k:
         return 0
     return _census(n, k)[k]

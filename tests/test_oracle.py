@@ -449,6 +449,33 @@ class TestCensusBackends:
                 if (n, rp) == (6, 0):
                     assert len(leaves) == 2830
 
+    def test_walk_totals_n7(self):
+        leaves = [0, 0]
+
+        def visit(partner, cut):
+            assert -1 not in partner
+            leaves[0] += 1
+            leaves[1] += cut
+
+        skipped = _census_py._walk(7, 0, visit)
+        assert leaves == [38232, 28119]
+        assert skipped == 96903
+        assert leaves[0] + skipped == odd_double_factorial(7)
+
+    def test_bad_input_rejected(self, census_kernels):
+        for kernel in census_kernels:
+            for call in (
+                lambda: kernel.class_census(-1),
+                lambda: kernel.k_connected_count(-1, 2),
+            ):
+                with pytest.raises(ValueError, match="n must"):
+                    call()
+            for k in (0, -1):
+                with pytest.raises(ValueError, match="k must be at least 1"):
+                    kernel.k_connected_count(3, k)
+        with pytest.raises(ValueError, match="n must"):
+            _census_py._walk(-1, 0, lambda partner, cut: None)
+
     def test_k_census_matches_predicate(self, census_kernels):
         for n in range(1, 7):
             diagrams = list(enumerate_diagrams(n))
