@@ -35,7 +35,9 @@
  * f is the only free position left, so no child is entered either: the
  * parent pairs b with f, runs the closes f..2n-1 with both tests through
  * the same close_run() as the leading closes, counts the one diagram at
- * level 0 on a closed hit and classifies it otherwise.
+ * level 0 on a closed hit and classifies it otherwise. A root chord to
+ * position 2n crosses no chord, so for n >= 2 census() puts all rest[1]
+ * diagrams of that partition at level 0 without a walk.
  *
  * The counts live in one unsigned __int128: field a, WIDTH bits wide with a
  * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
@@ -252,7 +254,9 @@ static int census(int n, int k, int root_partner, count_t *counts)
         w->rest[c] = w->rest[c + 1] * (count_t)(2 * (n - c) - 1);
 
     Py_BEGIN_ALLOW_THREADS
-    if (root_partner) {
+    if (root_partner == size && n >= 2)  /* the root chord (1, 2n) crosses nothing */
+        w->hist[0] = w->rest[1];
+    else if (root_partner) {
         w->partner[0] = root_partner - 1;
         w->partner[root_partner - 1] = 0;
         place(w, 1, 1, w->opens[0], 0);

@@ -152,6 +152,10 @@ def _walk(n: int, root_partner: int, visit) -> int:
     tests, instead of calling ``place`` once more per leaf. A closed
     hit there skips the single completion, rest[n] = 1; otherwise the leaf
     is visited. Both partner entries are restored before ``place`` returns.
+
+    A root chord to position 2n crosses no chord, so for n >= 2 every
+    diagram of that partition is disconnected: all its rest[1] completions
+    are skipped without a walk.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
@@ -159,6 +163,8 @@ def _walk(n: int, root_partner: int, visit) -> int:
     if root_partner and not 2 <= root_partner <= size:
         raise ValueError(f"root partner must lie in 2..{size}")
     opens, closes, rest = _tables(n)
+    if root_partner == size and n >= 2:  # the root chord (1, 2n) crosses nothing
+        return rest[1]
     partner = [-1] * size
     skipped = 0
 

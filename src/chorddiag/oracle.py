@@ -487,26 +487,38 @@ def class_census(
     brute-force cross-check for the generating series, not a formula. The
     kernel counts disconnected subtrees in bulk as soon as a closed interval
     of positions shows, and classifies each connected diagram on its own.
-    ``workers`` > 1 splits the search space by the root's partner and sums
-    the counts of the partitions; a fixed ``root_partner`` takes one worker.
-    On the compiled backend, which releases the GIL, the partitions run on a
-    thread pool of ``workers`` threads; on the python backend they run one
-    after another in the calling thread, since its threads could not overlap.
+
+    The census is split by the root's partner rp. The reflection that fixes
+    position 1 and sends position j to 2n + 2 - j keeps every crossing, so it
+    maps partition rp one-to-one onto partition 2n + 2 - rp, with the same
+    connectivity classes. So only the partitions rp = 2..n+1 are walked: each
+    of 2..n counts twice, for itself and its mirror, and n + 1, its own
+    mirror, once. A fixed ``root_partner`` walks that partition alone and
+    counts it once. ``workers`` only chooses threads: with ``workers`` > 1
+    on the compiled backend, which releases the GIL, the partitions run on a
+    thread pool of ``workers`` threads; otherwise, and always on the python
+    backend, whose threads could not overlap, they run one after another in
+    the calling thread.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if workers < 1 or (workers > 1 and root_partner):
         raise ValueError("workers must be at least 1, and exactly 1 with a root_partner")
     _check_cap("census", n, cap)
-    partners = range(2, 2 * n + 1) if workers > 1 and n >= 1 else (root_partner,)
-    if len(partners) > 1 and _census_impl is not _census_py:
+    if root_partner or n == 0:
+        partners, weights = (root_partner,), (1,)
+    else:
+        partners, weights = range(2, n + 2), (2,) * (n - 1) + (1,)
+    if workers > 1 and len(partners) > 1 and _census_impl is not _census_py:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda rp: _census_impl.class_census(n, rp), partners))
     else:
         parts = [_census_impl.class_census(n, rp) for rp in partners]
-    total, connected, two_connected = map(sum, zip(*parts))
+    total, connected, two_connected = (
+        sum(w * count for w, count in zip(weights, column)) for column in zip(*parts)
+    )
     return {"all": total, "connected": connected, "2connected": two_connected}
 
 

@@ -499,6 +499,40 @@ class TestCensusBackends:
     def test_concurrent_partitions_reduce_to_same_counts(self):
         assert oracle.class_census(5, workers=4) == oracle.class_census(5)
 
+    def test_reflected_partitions_count_alike(self, census_kernels):
+        # j -> 2n+2-j fixes position 1 and keeps every crossing
+        for kernel in census_kernels:
+            for n in range(1, 8):
+                parts = {rp: kernel.class_census(n, rp) for rp in range(2, 2 * n + 1)}
+                for rp, counts in parts.items():
+                    assert counts == parts[2 * n + 2 - rp], (kernel.__name__, n, rp)
+
+    def test_reflected_census_matches_full_walk(self, census_kernels, monkeypatch):
+        for kernel in census_kernels:
+            monkeypatch.setattr(oracle, "_census_impl", kernel)
+            for n in range(0, 9 if kernel is not _census_py else 8):
+                total, connected, two_connected = kernel.class_census(n)
+                full = {"all": total, "connected": connected, "2connected": two_connected}
+                assert oracle.class_census(n) == full, (kernel.__name__, n)
+                assert oracle.class_census(n, workers=3) == full, (kernel.__name__, n)
+
+    def test_pinned_partition_counted_once(self, census_kernels, monkeypatch):
+        for kernel in census_kernels:
+            monkeypatch.setattr(oracle, "_census_impl", kernel)
+            for rp in range(2, 11):
+                total, connected, two_connected = kernel.class_census(5, rp)
+                assert oracle.class_census(5, root_partner=rp) == {
+                    "all": total, "connected": connected, "2connected": two_connected
+                }, (kernel.__name__, rp)
+
+    def test_root_chord_to_last_position_is_skipped_whole(self, census_kernels):
+        for n in range(2, 8):
+            visited = []
+            skipped = _census_py._walk(n, 2 * n, lambda partner, cut: visited.append(cut))
+            assert visited == [] and skipped == odd_double_factorial(n - 1), n
+        for kernel in census_kernels:
+            assert tuple(kernel.class_census(1, 2)) == (1, 1, 0), kernel.__name__
+
     def test_python_partitions_start_no_threads(self, monkeypatch):
         import concurrent.futures
 
