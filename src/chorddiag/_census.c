@@ -1,14 +1,15 @@
 /* Compiled census kernel.
  *
- * Same contract as the pure-Python twin in _census_py.py, and the same
- * design: one walker, place(), enumerates every rooted diagram on n chords
- * (smallest free position matched first, partners tried left to right)
- * and reads connectivity off the intervals of positions, with no graph
- * search. It scans the positions left to right, opening a chord at each
- * free one and closing one at each taken one, and keeps the external count
- * of every interval [a, b-1] ending at the current position b: the number
- * of its endpoints whose partner lies outside it. Before each close it
- * tests two facts:
+ * Same contract as the pure-Python twin in _census_py.py: one export,
+ * class_census(n, root_partner=0, k=2), with the counts of the j-connected
+ * diagrams for j = 0..k. Same design too: one walker, place(), enumerates
+ * every rooted diagram on n chords (smallest free position matched first,
+ * partners tried left to right) and reads connectivity off the intervals
+ * of positions, with no graph search. It scans the positions left to
+ * right, opening a chord at each free one and closing one at each taken
+ * one, and keeps the external count of every interval [a, b-1] ending at
+ * the current position b: the number of its endpoints whose partner lies
+ * outside it. Before each close it tests two facts:
  *   - a diagram is disconnected exactly when some proper interval is
  *     closed (external count 0); such an interval is fixed once its last
  *     position closes, so the subtree is skipped and its (2m-1)!!
@@ -203,14 +204,21 @@ static void place(Walk *w, int b, int c, state_t state, int cut)
     w->partner[b] = -1;
 }
 
-/* counts[j] = number of j-connected diagrams on n chords, for j = 0..k
- * (k <= MAX_CHORDS); root_partner (1-based, 0 for none) pins the partner of
- * position 1. Returns -1 with an exception set on bad input. */
+/* counts[j] = number of j-connected diagrams on n chords, for j = 0..k;
+ * root_partner (1-based, 0 for none) pins the partner of position 1.
+ * Returns -1 with an exception set on bad input, so counts, which has room
+ * for MAX_CHORDS + 1 levels, is never written past its end. */
 static int census(int n, int k, int root_partner, count_t *counts)
 {
     if (n < 0 || n > MAX_CHORDS) {
         PyErr_Format(PyExc_ValueError,
                      "n must lie in 0..%d for the compiled kernel", MAX_CHORDS);
+        return -1;
+    }
+    if (k < 1 || k > MAX_CHORDS) {
+        PyErr_Format(PyExc_ValueError,
+                     "k must be at least 1 and at most %d for the compiled kernel",
+                     MAX_CHORDS);
         return -1;
     }
     int size = 2 * n;
@@ -275,42 +283,31 @@ static int census(int n, int k, int root_partner, count_t *counts)
 
 static PyObject *class_census(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "root_partner", NULL};
-    int n, root_partner = 0;
-    count_t counts[3];
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i|i:class_census", kwlist,
-                                     &n, &root_partner)
-        || census(n, 2, root_partner, counts) < 0)
-        return NULL;
-    return Py_BuildValue("(KKK)", counts[0], counts[1], counts[2]);
-}
-
-static PyObject *k_connected_count(PyObject *module, PyObject *args)
-{
-    int n, k;
+    static char *kwlist[] = {"n", "root_partner", "k", NULL};
+    int n, root_partner = 0, k = 2;
     count_t counts[MAX_CHORDS + 1];
-    if (!PyArg_ParseTuple(args, "ii:k_connected_count", &n, &k))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i|ii:class_census", kwlist,
+                                     &n, &root_partner, &k)
+        || census(n, k, root_partner, counts) < 0)
         return NULL;
-    if (k < 1) {
-        PyErr_SetString(PyExc_ValueError, "k must be at least 1");
-        return NULL;
+    PyObject *result = PyTuple_New(k + 1);
+    for (int j = 0; result != NULL && j <= k; j++) {
+        PyObject *count = PyLong_FromUnsignedLongLong(counts[j]);
+        if (count == NULL)
+            Py_CLEAR(result);
+        else
+            PyTuple_SET_ITEM(result, j, count);
     }
-    if (0 <= n && n < k)
-        return PyLong_FromLong(0);
-    if (census(n, k, 0, counts) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(counts[k]);
+    return result;
 }
 
 static PyMethodDef census_methods[] = {
     {"class_census", (PyCFunction)(void (*)(void))class_census,
      METH_VARARGS | METH_KEYWORDS,
-     "class_census(n, root_partner=0)\n--\n\n"
-     "(total, connected, 2-connected) over all diagrams on n chords;\n"
-     "root_partner (1-based position, 0 for none) pins the partner of position 1."},
-    {"k_connected_count", k_connected_count, METH_VARARGS,
-     "k_connected_count(n, k)\n--\n\n"
-     "Count of k-connected diagrams on n chords (removal characterization)."},
+     "class_census(n, root_partner=0, k=2)\n--\n\n"
+     "Counts of the j-connected diagrams on n chords for j = 0..k, so by\n"
+     "default (total, connected, 2-connected); root_partner (1-based\n"
+     "position, 0 for none) pins the partner of position 1."},
     {NULL, NULL, 0, NULL}
 };
 

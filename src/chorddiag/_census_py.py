@@ -1,10 +1,11 @@
 """Pure-Python census kernel.
 
-Same contract as the compiled twin in ``_census.c``: enumerate every
-rooted diagram on n chords (smallest free position matched first, partners
-tried left to right) and count connectivity classes. Kept dependency-free
-and allocation-light so it stays usable up to n = 8 when the extension is
-not built.
+Same contract as the compiled twin in ``_census.c``: one export,
+``class_census(n, root_partner=0, k=2)``, enumerates every rooted diagram
+on n chords (smallest free position matched first, partners tried left to
+right) and returns the counts of the j-connected ones for j = 0..k. Kept
+dependency-free and allocation-light so it stays usable up to n = 8 when
+the extension is not built.
 
 One walker, ``_walk``, reads connectivity off the intervals of positions
 with no graph search. It scans the positions left to right, opening a chord
@@ -234,17 +235,22 @@ def _walk(n: int, root_partner: int, visit) -> int:
     return skipped
 
 
-def _census(n: int, k: int, root_partner: int = 0) -> list[int]:
+def class_census(n: int, root_partner: int = 0, k: int = 2) -> tuple[int, ...]:
     """Counts of the j-connected diagrams on n chords, for j = 0..k.
 
-    Each diagram the walk visits is connected and gets the highest j <= k
-    for which it has at least j chords and survives every removal of fewer
-    than j chords: 1 with a cut chord, otherwise the first removal of
-    2..k-1 chords that disconnects it, or min(k, n). The diagrams it skips
-    are disconnected and count at level 0, as does the empty diagram.
+    The default k = 2 gives (total, connected, 2-connected). ``root_partner``
+    (1-based position, 0 for unrestricted) pins the partner of position 1,
+    partitioning the enumeration. Each diagram the walk visits is connected
+    and gets the highest j <= k for which it has at least j chords and
+    survives every removal of fewer than j chords: 1 with a cut chord,
+    otherwise the first removal of 2..k-1 chords that disconnects it, or
+    min(k, n). The diagrams it skips are disconnected and count at level 0,
+    as does the empty diagram.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     full = (1 << n) - 1
     kept = [  # chords left after each removal, ascending in the number removed
         full & ~sum(1 << c for c in removed)
@@ -266,22 +272,4 @@ def _census(n: int, k: int, root_partner: int = 0) -> list[int]:
 
     skipped = _walk(n, root_partner, visit)  # visit updates by_level[0] for n = 0
     by_level[0] += skipped
-    return list(accumulate(reversed(by_level)))[::-1]
-
-
-def class_census(n: int, root_partner: int = 0) -> tuple[int, int, int]:
-    """(total, connected, 2-connected) over all diagrams on n chords.
-
-    ``root_partner`` (1-based position, 0 for unrestricted) pins the partner
-    of position 1, partitioning the enumeration.
-    """
-    return tuple(_census(n, 2, root_partner))
-
-
-def k_connected_count(n: int, k: int) -> int:
-    """Count of k-connected diagrams on n chords (removal characterization)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if 0 <= n < k:
-        return 0
-    return _census(n, k)[k]
+    return tuple(accumulate(reversed(by_level)))[::-1]

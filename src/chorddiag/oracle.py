@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -483,53 +484,62 @@ def class_census(
 ) -> dict[str, int]:
     """Counts of all / connected / 2-connected diagrams on n chords.
 
-    Enumerates the diagrams through the active kernel; this is the
-    brute-force cross-check for the generating series, not a formula. The
-    kernel counts disconnected subtrees in bulk as soon as a closed interval
-    of positions shows, and classifies each connected diagram on its own.
-
-    The census is split by the root's partner rp. The reflection that fixes
-    position 1 and sends position j to 2n + 2 - j keeps every crossing, so it
-    maps partition rp one-to-one onto partition 2n + 2 - rp, with the same
-    connectivity classes. So only the partitions rp = 2..n+1 are walked: each
-    of 2..n counts twice, for itself and its mirror, and n + 1, its own
-    mirror, once. A fixed ``root_partner`` walks that partition alone and
-    counts it once. ``workers`` only chooses threads: with ``workers`` > 1
-    on the compiled backend, which releases the GIL, the partitions run on a
-    thread pool of ``workers`` threads; otherwise, and always on the python
-    backend, whose threads could not overlap, they run one after another in
-    the calling thread.
+    The brute-force cross-check for the generating series, through the
+    active kernel as ``_census`` describes. ``workers`` only chooses
+    threads: with ``workers`` > 1 on the compiled backend, which releases
+    the GIL, the partitions run on a pool of ``workers`` threads; otherwise,
+    and always on the python backend, whose threads could not overlap, they
+    run one after another in the calling thread.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if workers < 1 or (workers > 1 and root_partner):
-        raise ValueError("workers must be at least 1, and exactly 1 with a root_partner")
-    _check_cap("census", n, cap)
-    if root_partner or n == 0:
-        partners, weights = (root_partner,), (1,)
-    else:
-        partners, weights = range(2, n + 2), (2,) * (n - 1) + (1,)
-    if workers > 1 and len(partners) > 1 and _census_impl is not _census_py:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda rp: _census_impl.class_census(n, rp), partners))
-    else:
-        parts = [_census_impl.class_census(n, rp) for rp in partners]
-    total, connected, two_connected = (
-        sum(w * count for w, count in zip(weights, column)) for column in zip(*parts)
-    )
+    total, connected, two_connected = _census(n, 2, cap, root_partner, workers)
     return {"all": total, "connected": connected, "2connected": two_connected}
 
 
 def k_connected_census(n: int, k: int, cap: Optional[int] = DEFAULT_CAP) -> int:
     """Count of k-connected diagrams on n chords by exhaustive enumeration."""
+    return _census(n, k, cap)[-1]
+
+
+def _census(
+    n: int, k: int, cap: Optional[int], root_partner: int = 0, workers: int = 1
+) -> tuple[int, ...]:
+    """Counts of the j-connected diagrams on n chords, for j = 0..k.
+
+    Checks every census input. The kernel counts disconnected subtrees in
+    bulk as soon as a closed interval of positions shows, and classifies
+    each connected diagram on its own. The reflection that fixes position 1
+    and sends position j to 2n + 2 - j keeps every crossing, so it maps
+    root-partner partition rp one-to-one onto partition 2n + 2 - rp, with
+    the same k-connectivity for every k. So only rp = 2..n+1 are walked:
+    each of 2..n counts twice, for itself and its mirror, and n + 1, its
+    own mirror, once. A fixed ``root_partner`` is walked and counted once.
+    A k-connected diagram has at least k chords, so a k above both n and 2
+    (``class_census`` asks k = 2 of every n) gives (0,) with no walk.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if workers < 1 or (workers > 1 and root_partner):
+        raise ValueError("workers must be at least 1, and exactly 1 with a root_partner")
     _check_cap("census", n, cap)
-    return _census_impl.k_connected_count(n, k)
+    if root_partner and not 2 <= root_partner <= 2 * n:
+        raise ValueError(f"root partner must lie in 2..{2 * n}")
+    if k > max(n, 2):
+        return (0,)
+    if root_partner or n == 0:
+        partners, weights = (root_partner,), (1,)
+    else:
+        partners, weights = range(2, n + 2), (2,) * (n - 1) + (1,)
+    part = partial(_census_impl.class_census, n, k=k)
+    if workers > 1 and len(partners) > 1 and _census_impl is not _census_py:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(part, partners))
+    else:
+        parts = list(map(part, partners))
+    return tuple(sum(w * count for w, count in zip(weights, column)) for column in zip(*parts))
 
 
 def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionCase, int]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from chorddiag import gf
+from chorddiag import gf, oracle
 from chorddiag.cli import _emit_series, main
 from chorddiag.series import PowerSeries, series_from_json_dict
 
@@ -118,6 +118,17 @@ class TestEnumerate:
         )
         assert code == 0
         assert json.loads(out) == {"n": 5, "class": "connected", "count": "248"}
+
+    def test_k_class_above_n_counts_zero_on_the_compiled_kernel(
+        self, capsys, monkeypatch, compiled_census
+    ):
+        monkeypatch.setattr(oracle, "_census_impl", compiled_census)
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--chords", "3", "--class", "k:3000000000", "--count-only",
+        )
+        assert code == 0
+        assert out.strip() == "0"
 
     def test_listing_order_and_format(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--chords", "2", "--class", "all")

@@ -466,24 +466,25 @@ class TestCensusBackends:
         for kernel in census_kernels:
             for call in (
                 lambda: kernel.class_census(-1),
-                lambda: kernel.k_connected_count(-1, 2),
+                lambda: kernel.class_census(-1, 0, 2)[2],
             ):
                 with pytest.raises(ValueError, match="n must"):
                     call()
             for k in (0, -1):
                 with pytest.raises(ValueError, match="k must be at least 1"):
-                    kernel.k_connected_count(3, k)
+                    kernel.class_census(3, 0, k)[k]
         with pytest.raises(ValueError, match="n must"):
             _census_py._walk(-1, 0, lambda partner, cut: None)
 
-    def test_k_census_matches_predicate(self, census_kernels):
+    def test_k_census_matches_predicate(self, census_kernels, monkeypatch):
         for n in range(1, 7):
             diagrams = list(enumerate_diagrams(n))
             for k in (1, 2, 3, 4):
                 brute = sum(1 for d in diagrams if is_k_connected(d, k))
-                assert oracle.k_connected_census(n, k) == brute
                 for kernel in census_kernels:
-                    assert kernel.k_connected_count(n, k) == brute, kernel.__name__
+                    monkeypatch.setattr(oracle, "_census_impl", kernel)
+                    assert oracle.k_connected_census(n, k) == brute, (kernel.__name__, n, k)
+                    assert kernel.class_census(n, 0, k)[k] == brute, (kernel.__name__, n, k)
 
     def test_root_partner_partition_sums(self, census_kernels):
         total = sum(
@@ -515,6 +516,9 @@ class TestCensusBackends:
                 full = {"all": total, "connected": connected, "2connected": two_connected}
                 assert oracle.class_census(n) == full, (kernel.__name__, n)
                 assert oracle.class_census(n, workers=3) == full, (kernel.__name__, n)
+                for k in (1, 2, 3, 4):
+                    got = oracle.k_connected_census(n, k)
+                    assert got == kernel.class_census(n, 0, k)[k], (kernel.__name__, n, k)
 
     def test_pinned_partition_counted_once(self, census_kernels, monkeypatch):
         for kernel in census_kernels:
@@ -524,6 +528,8 @@ class TestCensusBackends:
                 assert oracle.class_census(5, root_partner=rp) == {
                     "all": total, "connected": connected, "2connected": two_connected
                 }, (kernel.__name__, rp)
+            with pytest.raises(ValueError, match="root partner must lie in 2..10"):
+                oracle.class_census(5, root_partner=3_000_000_000)  # past a C int
 
     def test_root_chord_to_last_position_is_skipped_whole(self, census_kernels):
         for n in range(2, 8):
@@ -548,11 +554,12 @@ class TestCensusBackends:
         }
 
     def test_compiled_kernel_rejects_more_than_ten_chords(self, compiled_census):
-        for call in (
-            lambda: compiled_census.class_census(11),
-            lambda: compiled_census.k_connected_count(11, 2),
+        for call, message in (
+            (lambda: compiled_census.class_census(11), "0..10"),
+            (lambda: compiled_census.class_census(11, 0, 2)[2], "0..10"),
+            (lambda: compiled_census.class_census(5, 0, 11), "at most 10"),
         ):
-            with pytest.raises(ValueError, match="0..10"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
     def test_workers_rejected_when_they_cannot_apply(self):
