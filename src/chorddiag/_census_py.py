@@ -43,6 +43,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 
+MAX_K = 10  # the compiled twin's bound on k (its MAX_CHORDS), so both reject alike
+
 
 def _connected(masks: list[int], keep: int) -> bool:
     """True when the chords in ``keep`` induce a connected crossing graph."""
@@ -238,9 +240,10 @@ def _walk(n: int, root_partner: int, visit) -> int:
 def class_census(n: int, root_partner: int = 0, k: int = 2) -> tuple[int, ...]:
     """Counts of the j-connected diagrams on n chords, for j = 0..k.
 
-    The default k = 2 gives (total, connected, 2-connected). ``root_partner``
-    (1-based position, 0 for unrestricted) pins the partner of position 1,
-    partitioning the enumeration. Each diagram the walk visits is connected
+    k lies in 1..MAX_K, and the default k = 2 gives (total, connected,
+    2-connected). ``root_partner`` (1-based position, 0 for unrestricted)
+    pins the partner of position 1, partitioning the enumeration. Each
+    diagram the walk visits is connected
     and gets the highest j <= k for which it has at least j chords and
     survives every removal of fewer than j chords: 1 with a cut chord,
     otherwise the first removal of 2..k-1 chords that disconnects it, or
@@ -249,8 +252,8 @@ def class_census(n: int, root_partner: int = 0, k: int = 2) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError("n must be at least 0")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be at least 1 and at most {MAX_K}")
     full = (1 << n) - 1
     kept = [  # chords left after each removal, ascending in the number removed
         full & ~sum(1 << c for c in removed)

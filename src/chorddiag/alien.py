@@ -13,8 +13,9 @@ than a coercion.
 The closed-form images of the connected and 2-connected series run on
 integer lists: their series parts are integer series times exp(-g/2) for an
 integer series g, and n! * 2^n times the n-th coefficient of such an
-exponential is an integer (see _scaled_exp), so the only division is the
-last one, by n! * 2^n.
+exponential is an integer (see _extend_scaled_exp), so the only division is
+the last one, by n! * 2^n. Each image keeps its integer rows in one
+``gf.GrowOnly`` cache, so a larger order extends them.
 
 The alien derivative obeys a product rule, and for inner series tangent to
 the identity a chain rule and an inversion rule; those three rules, plus the
@@ -26,16 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 from typing import Optional
 
 from . import gf
-from .series import (
-    PowerSeries,
-    integer_coefficients,
-    truncated_product,
-    truncated_reciprocal,
-)
+from .series import PowerSeries, integer_coefficients, truncated_reciprocal
 
 ALPHA = Fraction(2)
 BETA_HALF = Fraction(1, 2)
@@ -97,8 +93,10 @@ def _falling_sum(a: list[int], e: list[int], m: int) -> int:
     return total
 
 
-def _scaled_exp(g: list[int], w: int, n: int) -> list[int]:
-    """e_m = w^m * m! * [x^m] exp((g - g_0)/w) for m = 0..n, for integers g.
+def _extend_scaled_exp(
+    g: list[int], w: int, n: int, weights: list[int], e: list[int]
+) -> None:
+    """Extend e_m = w^m * m! * [x^m] exp((g - g_0)/w) to m = n, for integers g.
 
     g_0 is left out: in the images it is the rational constant that stays
     symbolic as the prefactor's e-exponent. f = exp((g - g_0)/w) solves
@@ -107,32 +105,58 @@ def _scaled_exp(g: list[int], w: int, n: int) -> list[int]:
     e_m = sum_k k*g_k*w^(k-1) * (m-1)!/(m-k)! * e_{m-k},
     a sum of integer products, since (m-1)!/(m-k)! is a falling factorial.
     So every e_m is an integer, and the only division left is the one by
-    w^m m! in _scaled_product.
+    w^m m! in _extend_scaled_product. ``weights`` holds the k*g_k*w^(k-1)
+    for k = 1..len(weights), and e starts as [1].
     """
-    weighted = [(k + 1) * g[k + 1] * w**k for k in range(min(n, len(g) - 1))]
-    e = [1]
-    for m in range(1, n + 1):
-        e.append(_falling_sum(weighted, e, m - 1))
-    return e
+    for k in range(len(weights), n):
+        weights.append((k + 1) * g[k + 1] * w**k)
+    for m in range(len(e), n + 1):
+        e.append(_falling_sum(weights, e, m - 1))
 
 
-def _scaled_product(p: list[int], e: list[int], w: int, n: int) -> PowerSeries:
-    """p(x) * exp(g/w) to order n, from the scaled exponential e of g.
+def _extend_scaled_product(
+    p: list[int], e: list[int], w: int, n: int, weights: list[int], out: list[Fraction]
+) -> None:
+    """Extend p(x) * exp(g/w) to order n, from the scaled exponential e of g.
 
     Coefficient m is sum_i p_i * e_{m-i}/(w^(m-i) (m-i)!), which over the
     common denominator w^m m! has the integer numerator
-    sum_i p_i * w^i * m!/(m-i)! * e_{m-i}.
+    sum_i p_i * w^i * m!/(m-i)! * e_{m-i}. ``weights`` holds the p_i * w^i.
     """
-    weighted = [c * w**i for i, c in enumerate(p[: n + 1])]
-    out = []
-    denominator = 1
-    for m in range(n + 1):
-        denominator *= w * m or 1
-        out.append(Fraction(_falling_sum(weighted, e, m), denominator))
-    return PowerSeries(out)
+    for i in range(len(weights), n + 1):
+        weights.append(p[i] * w**i)
+    for m in range(len(out), n + 1):
+        out.append(Fraction(_falling_sum(weights, e, m), w**m * factorial(m)))
 
 
-@lru_cache(maxsize=None)
+def _extend_connected_image(
+    order: int,
+    exp_weights: list[int],
+    e: list[int],
+    x_over_c: list[int],
+    weights: list[int],
+    series: list[Fraction],
+) -> None:
+    """The integer rows of the connected closed form, grown to ``order``.
+
+    e, the scaled exponential (weight 2) of -(C^2 + 2C)/x, x/C and the
+    image's series all reach ``order``. C and C^2/x are read through gf's
+    public builders.
+    """
+    c = integer_coefficients(gf.series_connected(order + 1))
+    t = integer_coefficients(gf.connected_sq_div_x(order))
+    g = [t[k] + 2 * c[k + 1] for k in range(order + 1)]  # (C^2 + 2C)/x
+    if Fraction(-g[0], 2) != -1:
+        raise AssertionError("exponent constant must be -1 for the connected family")
+    _extend_scaled_exp([-v for v in g], 2, order, exp_weights, e)
+    truncated_reciprocal(c[1:], order, x_over_c)
+    _extend_scaled_product(x_over_c, e, 2, order, weights, series)
+
+
+_connected_image = gf.GrowOnly(_extend_connected_image, [], [1], [], [], [])
+
+
+@_connected_image.serves
 def alien_connected(order: int) -> AsymptoticImage:
     """Image of the connected series: e^-1/sqrt(2pi) * (x/C) * exp-remainder.
 
@@ -143,18 +167,51 @@ def alien_connected(order: int) -> AsymptoticImage:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    c = integer_coefficients(gf.series_connected(order + 1))
-    sq = truncated_product(c, c, order + 1)
-    g = [sq[k] + 2 * c[k] for k in range(1, order + 2)]
-    const = Fraction(-g[0], 2)
-    if const != -1:
-        raise AssertionError("exponent constant must be -1 for the connected family")
-    e = _scaled_exp([-v for v in g], 2, order)
-    x_over_c = truncated_reciprocal(c[1:], order)
-    return AsymptoticImage(const, -1, _scaled_product(x_over_c, e, 2, order))
+    series = _connected_image.grow(order)[-1]
+    return AsymptoticImage(Fraction(-1), -1, PowerSeries(series[: order + 1]))
 
 
-@lru_cache(maxsize=None)
+def _convolution(a: list[int], b: list[int], k: int) -> int:
+    """Coefficient k of the product of a and b."""
+    return sum(a[i] * b[k - i] for i in range(k + 1))
+
+
+def _extend_two_connected_image(
+    order: int,
+    s_plus_x_sq: list[int],
+    c2s: list[int],
+    inverse: list[int],
+    exp_weights: list[int],
+    e: list[int],
+    weights: list[int],
+    series: list[Fraction],
+) -> None:
+    """The integer rows of the 2-connected closed form, grown to ``order``.
+
+    (S+x)^2 and C2*S reach order + 2, x^2/(C2*S) reaches ``order``, and e,
+    the scaled exponential (weight 2) of minus [(S+x)^2 - 1]/x, reaches
+    order + 1: e^2 * exp(-[(S+x)^2-1]/(2x)) = sum e_m x^m / (2^m m!).
+    S and C2 are read through gf's public builders.
+    """
+    s = integer_coefficients(gf.series_two_connected_sequences(order + 2))
+    c2 = integer_coefficients(gf.series_two_connected(order + 2))
+    s_plus_x = [v + (k == 1) for k, v in enumerate(s)]
+    for k in range(len(s_plus_x_sq), order + 3):
+        s_plus_x_sq.append(_convolution(s_plus_x, s_plus_x, k))
+        c2s.append(_convolution(c2, s, k))
+    if Fraction(-s_plus_x_sq[1], 2) != -2:
+        raise AssertionError("exponent constant must be -2 for the 2-connected family")
+    truncated_reciprocal(c2s[2:], order, inverse)
+    _extend_scaled_exp([-v for v in s_plus_x_sq[1:]], 2, order + 1, exp_weights, e)
+    _extend_scaled_product(inverse, e, 2, order, weights, series)
+
+
+_two_connected_image = gf.GrowOnly(
+    _extend_two_connected_image, [], [], [], [], [1], [], []
+)
+
+
+@_two_connected_image.serves
 def alien_two_connected(order: int) -> AsymptoticImage:
     """Image of the 2-connected series.
 
@@ -165,12 +222,8 @@ def alien_two_connected(order: int) -> AsymptoticImage:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    rows = _two_connected_rows(max(order, 1))
-    const = Fraction(-rows["[(S+x)^2-1]/x"][0], 2)
-    if const != -2:
-        raise AssertionError("exponent constant must be -2 for the 2-connected family")
-    series = _scaled_product(rows["x^2/(C2*S)"], rows["exp"], 2, order)
-    return AsymptoticImage(const, -1, series)
+    series = _two_connected_image.grow(order)[-1]
+    return AsymptoticImage(Fraction(-2), -1, PowerSeries(series[: order + 1]))
 
 
 def alien_product(
@@ -291,45 +344,28 @@ IMAGE_REFERENCE: dict[str, tuple] = {
 }
 
 
-def _two_connected_rows(order: int) -> dict[str, list[int]]:
-    """The integer rows of the 2-connected closed form at ``order``.
-
-    "[(S+x)^2-1]/x" is twice the exponent row of the table, and "exp" is
-    the scaled exponential (weight 2) of minus that row:
-    e^2 * exp(-[(S+x)^2-1]/(2x)) = sum e_m x^m / (2^m m!).
-    """
-    s = integer_coefficients(gf.series_two_connected_sequences(order + 2))
-    c2 = integer_coefficients(gf.series_two_connected(order + 3))
-    s_plus_x = [v + (k == 1) for k, v in enumerate(s)]
-    s_plus_x_sq = truncated_product(s_plus_x, s_plus_x, order + 2)
-    shift = s_plus_x_sq[1:]
-    c2s = truncated_product(c2, s, order + 2)
-    return {
-        "S": s,
-        "(S+x)^2": s_plus_x_sq,
-        "[(S+x)^2-1]/x": shift,
-        "C2*S": c2s,
-        "x^2/(C2*S)": truncated_reciprocal(c2s[2:], order),
-        "exp": _scaled_exp([-v for v in shift], 2, order + 1),
-    }
-
-
 def image_table_series(order: int) -> dict[str, PowerSeries]:
     """The ingredient series of the 2-connected image's closed form.
 
-    The last row is the exponential factor with its transcendental constant
-    e^-2 stripped (2 being the constant term of the row above), so all
-    entries are exact rationals.
+    The rows are prefixes of the 2-connected image's cache. The last row is
+    the exponential factor with its transcendental constant e^-2 stripped
+    (2 being the constant term of the row above), so all entries are exact
+    rationals.
     """
-    rows = _two_connected_rows(order)
-    shift = rows["[(S+x)^2-1]/x"]
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    s_plus_x_sq, c2s, inverse, _, e, _, _ = _two_connected_image.grow(order)
     return {
-        "S": PowerSeries(rows["S"]),
-        "(S+x)^2": PowerSeries(rows["(S+x)^2"]),
-        "[(S+x)^2-1]/(2x)": PowerSeries([Fraction(v, 2) for v in shift]),
-        "C2*S": PowerSeries(rows["C2*S"]),
-        "x^2/(C2*S)": PowerSeries(rows["x^2/(C2*S)"]),
-        "e^2*exp(-[(S+x)^2-1]/(2x))": _scaled_product([1], rows["exp"], 2, order + 1),
+        "S": gf.series_two_connected_sequences(order + 2),
+        "(S+x)^2": PowerSeries(s_plus_x_sq[: order + 3]),
+        "[(S+x)^2-1]/(2x)": PowerSeries(
+            [Fraction(v, 2) for v in s_plus_x_sq[1 : order + 3]]
+        ),
+        "C2*S": PowerSeries(c2s[: order + 3]),
+        "x^2/(C2*S)": PowerSeries(inverse[: order + 1]),
+        "e^2*exp(-[(S+x)^2-1]/(2x))": PowerSeries(
+            [Fraction(v, 2**m * factorial(m)) for m, v in enumerate(e[: order + 2])]
+        ),
     }
 
 

@@ -20,20 +20,82 @@ verify_derivative_identity check the differential equation's output against
 the paper's relation instead of restating it.
 
 All series are exact and computed on int lists, with a PowerSeries built
-only at the end; results are memoized per (family, order) and safe to
-share, since PowerSeries values are immutable.
+only at the end. Each family keeps one list (a ``GrowOnly`` cache), extended
+in place when a larger order is asked for: every coefficient depends only on
+earlier ones, so a smaller order is served as a prefix of the list and a
+larger one computes only the coefficients it adds. PowerSeries values are
+immutable, so results are safe to share.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import namedtuple
+from fractions import Fraction
 
-from .series import (
-    PowerSeries,
-    integer_coefficients,
-    truncated_product,
-    truncated_reciprocal,
-)
+from .series import PowerSeries, truncated_reciprocal
+
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class GrowOnly:
+    """Lists extended in place to the largest order asked for, one cache per family.
+
+    ``extend(order, *lists)`` appends to each list what ``order`` needs,
+    each entry computed from earlier entries only, so the lists at a smaller
+    order are prefixes of those at a larger one. The last list is the one
+    served; its length tells the order reached. An ``extend`` that raises is
+    undone, every list cut back to its length before the call, so nothing
+    half-grown is kept. As with ``functools.lru_cache``, ``cache_info()``
+    counts a hit for a request served without growing and a miss for one
+    that grew the lists; ``currsize`` is the length of the served list.
+    ``cache_clear()`` goes back to the seeds and zero counts.
+    """
+
+    def __init__(self, extend, *seeds: list):
+        self._extend = extend
+        self._seeds = seeds
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._lists = tuple(list(seed) for seed in self._seeds)
+        self._fractions: list[Fraction] = []
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, None, len(self._lists[-1]))
+
+    def grow(self, order: int) -> tuple[list, ...]:
+        """The lists, extended so that the served one reaches ``order``."""
+        lists = self._lists
+        if order < len(lists[-1]):
+            self._hits += 1
+            return lists
+        lengths = [len(v) for v in lists]
+        try:
+            self._extend(order, *lists)
+        except BaseException:
+            for v, length in zip(lists, lengths):
+                del v[length:]
+            raise
+        self._misses += 1
+        return lists
+
+    def series(self, order: int) -> PowerSeries:
+        """Entries 0..order of the served int list, as a PowerSeries.
+
+        Each entry becomes a Fraction once, and that Fraction is kept, so
+        serving an order again costs no conversion.
+        """
+        served = self.grow(order)[-1]
+        fractions = self._fractions
+        fractions.extend(map(Fraction, served[len(fractions) : order + 1]))
+        return PowerSeries(fractions[: order + 1])
+
+    def serves(self, builder):
+        """Decorator: ``builder`` gets this cache's cache_info and cache_clear."""
+        builder.cache_info = self.cache_info
+        builder.cache_clear = self.cache_clear
+        return builder
 
 
 def double_factorial_odd(n: int) -> int:
@@ -46,21 +108,41 @@ def double_factorial_odd(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+def _extend_all_diagrams(order: int, d: list[int]) -> None:
+    for n in range(len(d), order + 1):
+        d.append(d[-1] * (2 * n - 1))
+
+
+_all_diagrams = GrowOnly(_extend_all_diagrams, [1])
+
+
+@_all_diagrams.serves
 def series_all_diagrams(order: int) -> PowerSeries:
     """D: coefficient n counts all rooted diagrams on n chords, (2n-1)!!."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return PowerSeries([double_factorial_odd(n) for n in range(order + 1)])
+    return _all_diagrams.series(order)
 
 
-def _pair_sum(y: list[int], k: int) -> int:
-    """The sum of y_i * y_j over i + j = k with i, j >= 1, by symmetry."""
-    half = sum(y[i] * y[k - i] for i in range(1, (k + 1) // 2))
+def _pair_sum(y: list[int], k: int, low: int = 1) -> int:
+    """The sum of y_i * y_j over i + j = k, by symmetry, when y_i = 0 for i < low.
+
+    It reads y at indices low..k-low only, so it can run while y ends at
+    index k - low.
+    """
+    half = sum(y[i] * y[k - i] for i in range(low, (k + 1) // 2))
     return 2 * half + (y[k // 2] ** 2 if k % 2 == 0 else 0)
 
 
-@lru_cache(maxsize=None)
+def _extend_connected(order: int, c: list[int]) -> None:
+    for n in range(len(c), order + 1):
+        c.append((n - 1) * _pair_sum(c, n))
+
+
+_connected = GrowOnly(_extend_connected, [0, 1])
+
+
+@_connected.serves
 def series_connected(order: int) -> PowerSeries:
     """C: coefficient n counts connected diagrams on n chords.
 
@@ -70,21 +152,38 @@ def series_connected(order: int) -> PowerSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    c = [0] * (order + 1)
-    c[1] = 1
-    for n in range(2, order + 1):
-        c[n] = (n - 1) * _pair_sum(c, n)
-    return PowerSeries(c)
+    return _connected.series(order)
 
 
-@lru_cache(maxsize=None)
+def _extend_connected_sq_div_x(order: int, t: list[int]) -> None:
+    c = _connected.grow(order + 1)[0]
+    for k in range(len(t), order + 1):
+        t.append(_pair_sum(c, k + 1))  # C_0 = 0: coefficient k + 1 of C^2
+
+
+_connected_sq_div_x = GrowOnly(_extend_connected_sq_div_x, [])
+
+
+@_connected_sq_div_x.serves
 def connected_sq_div_x(order: int) -> PowerSeries:
     """C^2/x, the inner series relating connected and 2-connected counts."""
-    c = integer_coefficients(series_connected(order + 1))
-    return PowerSeries(truncated_product(c, c, order + 1)[1:])
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return _connected_sq_div_x.series(order)
 
 
-@lru_cache(maxsize=None)
+def _extend_two_connected(order: int, y: list[int]) -> None:
+    pair_sum = _pair_sum(y, len(y), 2)
+    for m in range(len(y), order + 1):
+        next_pair_sum = _pair_sum(y, m + 1, 2)
+        y.append(-2 * y[m - 1] + m * next_pair_sum + pair_sum)
+        pair_sum = next_pair_sum
+
+
+_two_connected = GrowOnly(_extend_two_connected, [0, 0, 1])
+
+
+@_two_connected.serves
 def series_two_connected(order: int) -> PowerSeries:
     """C2: coefficient n counts 2-connected diagrams on n chords.
 
@@ -97,29 +196,33 @@ def series_two_connected(order: int) -> PowerSeries:
 
     where P_k sums y_i * y_j over i + j = k (only i, j >= 2 contribute).
     P_{m+1} reaches only up to y_{m-1}, and it is the P_m of the next step,
-    so each coefficient costs one convolution of integers.
+    so each coefficient costs one convolution of integers; growing the list
+    costs one more, for the P_m of its first new coefficient.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    y = [0, 0, 1] + [0] * (order - 2)
-    pair_sum = _pair_sum(y, 3)
-    for m in range(3, order + 1):
-        next_pair_sum = _pair_sum(y, m + 1)
-        y[m] = -2 * y[m - 1] + m * next_pair_sum + pair_sum
-        pair_sum = next_pair_sum
-    return PowerSeries(y)
+    return _two_connected.series(order)
 
 
 def series_connectivity_one(order: int) -> PowerSeries:
     """C1 = C - C2: connected diagrams that a single removal can disconnect."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order < 2:
-        return series_connected(order)
-    return series_connected(order) - series_two_connected(order)
+    c = _connected.grow(order)[0]
+    y = _two_connected.grow(order)[0]
+    return PowerSeries([c[n] - y[n] for n in range(order + 1)])
 
 
-@lru_cache(maxsize=None)
+def _extend_sequences(order: int, s: list[int]) -> None:
+    y = _two_connected.grow(order + 1)[0]
+    one_minus = [1] + [-v for v in y[2 : order + 2]]  # 1 - C2/x, as y_1 = 0
+    truncated_reciprocal(one_minus, order, s)
+
+
+_sequences = GrowOnly(_extend_sequences, [])
+
+
+@_sequences.serves
 def series_two_connected_sequences(order: int) -> PowerSeries:
     """S = 1/(1 - C2/x): sequences of 2-connected diagrams, one less chord each.
 
@@ -127,9 +230,7 @@ def series_two_connected_sequences(order: int) -> PowerSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    c2_over_x = integer_coefficients(series_two_connected(order + 1))[1:]
-    one_minus = [(k == 0) - v for k, v in enumerate(c2_over_x)]
-    return PowerSeries(truncated_reciprocal(one_minus, order))
+    return _sequences.series(order)
 
 
 FAMILIES = {

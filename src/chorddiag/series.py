@@ -70,24 +70,29 @@ def truncated_product(a: Sequence, b: Sequence, n: int) -> list:
     return [Fraction(v, d) for v in out]
 
 
-def truncated_reciprocal(a: Sequence, n: int) -> list:
+def truncated_reciprocal(a: Sequence, n: int, out: list | None = None) -> list:
     """Coefficients 0..n of 1/a, for a list a with a nonzero constant term.
 
     Each coefficient is minus the convolution of a with the earlier ones,
     times 1/a0; with a0 = +-1 integer inputs give integer coefficients.
+    Given ``out``, a list of the first coefficients of 1/a, it appends the
+    rest to that list and returns it.
     """
     if a[0] == 0:
         raise ValueError("no reciprocal: constant term is zero")
     inv0 = Fraction(1) / a[0]
     if inv0.denominator == 1:
         inv0 = inv0.numerator
-    out = [inv0] + [0] * n
-    for m in range(1, n + 1):
+    if out is None:
+        out = []
+    if not out:
+        out.append(inv0)
+    for m in range(len(out), n + 1):
         acc = 0
         for k in range(1, min(m, len(a) - 1) + 1):
             if a[k]:
                 acc += a[k] * out[m - k]
-        out[m] = -acc * inv0
+        out.append(-acc * inv0)
     return out
 
 

@@ -112,6 +112,25 @@ class TestTwoConnectedImage:
         with pytest.raises(AssertionError, match="-2"):
             alien_two_connected(5)
 
+    def test_failed_build_leaves_no_half_grown_state(self, monkeypatch):
+        s = gf.series_two_connected_sequences
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                gf, "series_two_connected_sequences", lambda order: s(order) + PowerSeries.x(order)
+            )
+            alien_two_connected.cache_clear()
+            with pytest.raises(AssertionError, match="-2"):
+                alien_two_connected(5)
+        assert alien_two_connected(6).series[6] == Fraction(-9972896, 45)
+        c = gf.series_connected
+        expected = alien_connected(6)
+        with monkeypatch.context() as patch:
+            patch.setattr(gf, "series_connected", lambda order: 2 * c(order))
+            alien_connected.cache_clear()
+            with pytest.raises(AssertionError, match="-1"):
+                alien_connected(5)
+        assert alien_connected(6) == expected
+
     def test_sixth_coefficient_regression(self):
         assert alien_two_connected(6).series[6] == Fraction(-9972896, 45)
 

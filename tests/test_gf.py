@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chorddiag import gf, oracle
+from chorddiag import alien, gf, oracle
+from chorddiag.alien import AsymptoticImage
 from chorddiag.series import PowerSeries, solve_composition
 
 
@@ -177,3 +180,133 @@ class TestOracleParity:
             assert census["all"] == d[n]
             assert census["connected"] == c[n]
             assert census["2connected"] == c2[n]
+
+
+# Every public builder with a grow-only cache, and the least order each takes.
+CACHED = {
+    "D": (gf.series_all_diagrams, 0),
+    "C": (gf.series_connected, 1),
+    "C^2/x": (gf.connected_sq_div_x, 0),
+    "C2": (gf.series_two_connected, 2),
+    "S": (gf.series_two_connected_sequences, 1),
+    "image C": (alien.alien_connected, 1),
+    "image C2": (alien.alien_two_connected, 0),
+}
+BUILDERS = {**CACHED, "C1": (gf.series_connectivity_one, 1)}
+
+
+def clear_all_caches():
+    for build, _ in CACHED.values():
+        build.cache_clear()
+
+
+def truncated(result, order):
+    if isinstance(result, AsymptoticImage):
+        return AsymptoticImage(
+            result.e_exp, result.sqrt_two_pi_exp, result.series.truncate(order)
+        )
+    return result.truncate(order)
+
+
+class TestGrowOnly:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(BUILDERS)), st.integers(0, 80)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_sequence_gives_prefixes_of_cold_results(self, calls):
+        clear_all_caches()
+        calls = [(name, max(order, BUILDERS[name][1])) for name, order in calls]
+        results = [BUILDERS[name][0](order) for name, order in calls]
+        for (name, order), result in zip(calls, results):
+            top = max(o for n, o in calls if n == name)
+            assert result == truncated(BUILDERS[name][0](top), order), (name, order)
+        for (name, order), result in zip(calls, results):
+            clear_all_caches()
+            assert result == BUILDERS[name][0](order), (name, order)
+
+    def test_two_connected_seam(self):
+        gf.series_two_connected.cache_clear()
+        gf.series_two_connected(10)
+        grown = gf.series_two_connected(20)
+        gf.series_two_connected.cache_clear()
+        assert grown == gf.series_two_connected(20)
+        assert grown[7] == 10113
+
+    def test_growing_computes_only_the_new_coefficients(self, monkeypatch):
+        pair_sums, falling_sums = [], []
+        pair_sum, falling_sum = gf._pair_sum, alien._falling_sum
+        monkeypatch.setattr(
+            gf, "_pair_sum", lambda y, k, low=1: pair_sums.append(k) or pair_sum(y, k, low)
+        )
+        monkeypatch.setattr(
+            alien, "_falling_sum", lambda a, e, m: falling_sums.append(m) or falling_sum(a, e, m)
+        )
+        clear_all_caches()
+        for build in (gf.series_connected, gf.series_two_connected):
+            build(40)
+        pair_sums.clear()
+        gf.series_connected(60)
+        assert pair_sums == list(range(41, 61))
+        pair_sums.clear()
+        gf.series_two_connected(60)
+        # P_41 once at the seam, then P_{m+1} for each new coefficient m = 41..60
+        assert pair_sums == list(range(41, 62))
+        alien.alien_connected(40)
+        gf.connected_sq_div_x(60)  # the image's inputs at 60, grown beforehand
+        falling_sums.clear()
+        alien.alien_connected(60)
+        # 20 new terms of the scaled exponential, then 20 of the product
+        assert falling_sums == [*range(40, 60), *range(41, 61)]
+        for build in (gf.series_two_connected, alien.alien_connected):
+            assert build.cache_info().currsize == 61
+
+    def test_cache_info_counts_a_miss_exactly_when_the_list_grows(self):
+        clear_all_caches()
+        for name, (build, least) in CACHED.items():
+            info = build.cache_info()
+            assert (info.hits, info.misses, info.maxsize) == (0, 0, None), name
+            assert info.currsize == {"D": 1, "C": 2, "C2": 3}.get(name, 0), name  # seeds
+            for order in (5, 3, 5, 9, 9, 12, 2, 12):
+                before = build.cache_info()
+                build(max(order, least))
+                after = build.cache_info()
+                grew = after.currsize > before.currsize
+                assert after.misses - before.misses == grew, (name, order)
+                assert after.hits - before.hits == (not grew), (name, order)
+        # C^2/x grows C as it needs it, and each growth of C is a miss of C
+        clear_all_caches()
+        gf.series_connected(11)
+        gf.connected_sq_div_x(10)
+        assert gf.series_connected.cache_info()[:2] == (1, 1)
+        gf.connected_sq_div_x(11)
+        assert gf.series_connected.cache_info()[:2] == (1, 2)
+        assert gf.connected_sq_div_x.cache_info() == (0, 2, None, 12)
+
+    def test_builders_behind_plain_wrappers(self, monkeypatch):
+        # a tracer rebinds every public builder to a plain wrapper, with no
+        # cache methods; the families and images must build through those
+        expected = {name: build(25) for name, (build, _) in BUILDERS.items()}
+        for attr in (
+            "series_all_diagrams",
+            "series_connected",
+            "connected_sq_div_x",
+            "series_connectivity_one",
+            "series_two_connected",
+            "series_two_connected_sequences",
+        ):
+            build = getattr(gf, attr)
+            wrapper = lambda order, build=build: build(order)  # noqa: E731
+            monkeypatch.setattr(gf, attr, wrapper)
+            for key, value in gf.FAMILIES.items():
+                if value is build:
+                    monkeypatch.setitem(gf.FAMILIES, key, wrapper)
+        clear_all_caches()
+        for name in ("D", "C", "C1", "C2", "S"):
+            assert gf.series_family(name, 25) == expected[name], name
+        assert gf.connected_sq_div_x(25) == expected["C^2/x"]
+        assert alien.alien_connected(25) == expected["image C"]
+        assert alien.alien_two_connected(25) == expected["image C2"]

@@ -473,6 +473,8 @@ class TestCensusBackends:
             for k in (0, -1):
                 with pytest.raises(ValueError, match="k must be at least 1"):
                     kernel.class_census(3, 0, k)[k]
+            with pytest.raises(ValueError, match="k must be at least 1 and at most 10"):
+                kernel.class_census(3, 0, 11)
         with pytest.raises(ValueError, match="n must"):
             _census_py._walk(-1, 0, lambda partner, cut: None)
 

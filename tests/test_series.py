@@ -16,6 +16,7 @@ from chorddiag.series import (
     series_to_csv_rows,
     series_to_json_dict,
     truncated_product,
+    truncated_reciprocal,
 )
 
 
@@ -338,6 +339,23 @@ class TestTruncatedProduct:
     def test_int_inputs_give_ints(self, a, b, n):
         out = truncated_product(a, b, n)
         assert out == naive_product(a, b, n)
+        assert all(type(c) is int for c in out)
+
+
+class TestTruncatedReciprocal:
+    @given(
+        st.sampled_from([1, -1]),
+        int_lists,
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=14),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extending_a_prefix_in_place_equals_one_call(self, a0, rest, m, n):
+        a = [a0] + rest
+        whole = truncated_reciprocal(a, n)
+        out = truncated_reciprocal(a, min(m, n))
+        assert truncated_reciprocal(a, n, out) is out
+        assert out == whole
         assert all(type(c) is int for c in out)
 
 
