@@ -29,6 +29,7 @@ immutable, so results are safe to share.
 
 from __future__ import annotations
 
+import threading
 from collections import namedtuple
 from fractions import Fraction
 
@@ -48,24 +49,31 @@ class GrowOnly:
     half-grown is kept. As with ``functools.lru_cache``, ``cache_info()``
     counts a hit for a request served without growing and a miss for one
     that grew the lists; ``currsize`` is the length of the served list.
-    ``cache_clear()`` goes back to the seeds and zero counts.
+    ``cache_clear()`` goes back to the seeds and zero counts. A lock makes
+    each request atomic, so threads may share the cache.
     """
 
     def __init__(self, extend, *seeds: list):
         self._extend = extend
         self._seeds = seeds
+        self._lock = threading.RLock()
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self._lists = tuple(list(seed) for seed in self._seeds)
-        self._fractions: list[Fraction] = []
-        self._hits = self._misses = 0
+        with self._lock:
+            self._lists = tuple(list(seed) for seed in self._seeds)
+            self._fractions: list[Fraction] = []
+            self._hits = self._misses = 0
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, None, len(self._lists[-1]))
 
     def grow(self, order: int) -> tuple[list, ...]:
         """The lists, extended so that the served one reaches ``order``."""
+        with self._lock:
+            return self._grown(order)
+
+    def _grown(self, order: int) -> tuple[list, ...]:
         lists = self._lists
         if order < len(lists[-1]):
             self._hits += 1
@@ -86,10 +94,11 @@ class GrowOnly:
         Each entry becomes a Fraction once, and that Fraction is kept, so
         serving an order again costs no conversion.
         """
-        served = self.grow(order)[-1]
-        fractions = self._fractions
-        fractions.extend(map(Fraction, served[len(fractions) : order + 1]))
-        return PowerSeries(fractions[: order + 1])
+        with self._lock:
+            served = self._grown(order)[-1]
+            fractions = self._fractions
+            fractions.extend(map(Fraction, served[len(fractions) : order + 1]))
+            return PowerSeries(fractions[: order + 1])
 
     def serves(self, builder):
         """Decorator: ``builder`` gets this cache's cache_info and cache_clear."""

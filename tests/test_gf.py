@@ -1,5 +1,8 @@
 """Counting series: frozen coefficients, functional identities, oracle parity."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -310,3 +313,34 @@ class TestGrowOnly:
         assert gf.connected_sq_div_x(25) == expected["C^2/x"]
         assert alien.alien_connected(25) == expected["image C"]
         assert alien.alien_two_connected(25) == expected["image C2"]
+
+    def test_threads_share_the_caches(self):
+        expected = {name: build(60) for name, (build, _) in BUILDERS.items()}
+        clear_all_caches()
+        failures = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(400):
+                    name = rng.choice(sorted(BUILDERS))
+                    order = rng.randint(BUILDERS[name][1], 60)
+                    if name in CACHED and rng.random() < 0.1:
+                        CACHED[name][0].cache_clear()
+                    if BUILDERS[name][0](order) != truncated(expected[name], order):
+                        failures.append((name, order))
+            except Exception as exc:  # reported through failures
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
