@@ -14,21 +14,22 @@
  *     closed (external count 0); such an interval is fixed once its last
  *     position closes, so the subtree is skipped and its (2m-1)!!
  *     completions, m chords still to place, are added to level 0;
- *   - a connected diagram on n >= 2 chords has a cut chord exactly when
- *     some interval of 3..2n-3 positions has one external endpoint; in a
- *     connected diagram it ends at a close whose partner lies in it, so the
- *     test sets the subtree's cut flag.
- * Every diagram the walk reaches is therefore connected, and for k <= 2 its
- * level is read off the cut flag. Only for k >= 3 does a leaf without a cut
- * build its crossing masks and search the graph left by each removal of
- * 2..k-1 chords. The walk runs without the GIL, so root-partner partitions
- * of one census overlap on a thread pool.
+ *   - a connected diagram's level is the least of n and e(I) over the
+ *     intervals I with a chord wholly inside and one wholly outside (e = 1
+ *     gives the cut chords); the least e is reached at an interval that
+ *     ends with a close whose partner lies in it, so the walk carries a
+ *     level, starting at min(k, n), and before closing (p, b) lowers it to
+ *     the least v below it for which some [a, b], a <= p, of at most
+ *     2n-v-2 positions has e = v.
+ * Every diagram the walk reaches is therefore connected, and its level is
+ * read off at the leaf with no graph search. The walk runs without the GIL,
+ * so root-partner partitions of one census overlap on a thread pool.
  *
  * After opening a chord at the free position b, the closes at b+1..f-1,
  * where f is the next free position, have partners before b and do not
  * depend on b's partner. So they run once, before the loop over partners
- * j >= f, and each child starts at f. This hoisted run keeps the cut test
- * and drops the closed test, which cannot fire there: each interval it
+ * j >= f, and each child starts at f. This hoisted run keeps the level
+ * tests and drops the closed test, which cannot fire there: each interval it
  * would test, [a, q] with a <= p < b < q, contains b, whose partner lies
  * beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
  * the chord (b, b+1) closes the proper interval [b, b+1], so its
@@ -44,11 +45,12 @@
  * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
  * adds 1 to fields 0..b; closing one at b with partner p adds 1 to fields
  * p+1..b and takes 1 from fields 0..p. A field a <= p about to drop to 0
- * marks [a, b] closed, and one about to drop to 1 marks a cut when [a, b]
- * is short enough. Each is found by the zero-field test
+ * marks [a, b] closed, and one about to drop to v marks level v when [a, b]
+ * has at most 2n-v-2 positions. Each is found by the zero-field test
  * (y - ones) & ~y & highs on y = state ^ value, with ones only over the
  * tested fields: a zero field below them would otherwise borrow and give a
- * false hit.
+ * false hit. The v = 1 test reads its masks from the Close table; the
+ * tests for v >= 2 run only when it misses below a level above 2.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -57,24 +59,21 @@
 #define MAX_CHORDS 10
 #define WIDTH 6  /* counts stay at most n, below 2^5; 2 * MAX_CHORDS fields fill 120 bits */
 
-typedef unsigned int mask_t;
 typedef unsigned long long count_t;
 typedef unsigned __int128 state_t;
 
 /* The tests and the update for closing the chord (p, b). */
 typedef struct {
     state_t closed, closed_highs;   /* ones and top bits over the fields tested for 1 */
-    state_t twos, near, near_highs; /* twos, ones and top bits over those tested for 2 */
+    state_t twos, near, near_highs; /* twos, ones and top bits over those tested for level 1 */
     state_t update;
 } Close;
 
 typedef struct {
-    int n, size, top;
+    int n, size;
     int partner[2 * MAX_CHORDS];     /* 0-based partner of each position, -1 when free */
     state_t opens[2 * MAX_CHORDS];   /* ones over fields 0..b */
     Close closes[2 * MAX_CHORDS][2 * MAX_CHORDS];  /* [b][p], p < b */
-    const mask_t *kept;              /* chords left after removing 2 <= r < k of them, r ascending */
-    Py_ssize_t nkept;
     count_t rest[MAX_CHORDS + 1];    /* (2(n-c)-1)!!, completions of c placed chords */
     count_t hist[MAX_CHORDS + 1];    /* diagrams by level */
 } Walk;
@@ -87,49 +86,42 @@ static state_t ones(int lo, int hi)
     return x;
 }
 
-static int connected(const mask_t *adj, mask_t mask)
+/* The least v in 2..level-1 for which a field in the window
+ * a >= b - 2n + v + 3, a <= p holds v + 1, else level. opens[] gives each
+ * window as a difference; windows shrink as v grows, so the first empty one
+ * ends the search. Kept out of line: inlined into place(), its loop made the
+ * k = 2 walk about 20% slower at n = 8 (gcc -O2, x86-64). */
+static __attribute__((noinline)) int deeper_level(const Walk *w, int b, int p,
+                                                  state_t state, int level)
 {
-    mask_t comp = mask & (~mask + 1u), frontier = comp;
-    while (frontier) {
-        mask_t next = 0;
-        for (mask_t f = frontier; f; f &= f - 1)
-            next |= adj[__builtin_ctz(f)];
-        frontier = next & mask & ~comp;
-        comp |= frontier;
+    for (int v = 2; v < level; v++) {
+        int lo = b - w->size + v + 3;
+        if (lo > p)
+            break;
+        state_t window = lo > 0 ? w->opens[p] - w->opens[lo - 1] : w->opens[p];
+        state_t y = state ^ window * (state_t)(v + 1);
+        if ((y - window) & ~y & window << (WIDTH - 1))
+            return v;
     }
-    return comp == mask;
+    return level;
 }
 
-/* Level of a finished diagram without a cut chord, for k >= 3: the first
- * removal of 2..k-1 chords that disconnects it, else min(k, n). Crossing
- * masks come from one sweep: a chord crosses exactly the chords in which
- * the open set at its opening and at its closing differ. */
-static int removal_level(const Walk *w)
+/* The level after closing (p, b) under the test t: 1 when a field of the
+ * cut window holds 2, else the deeper tests while the level is above 2. */
+static inline int close_level(const Walk *w, const Close *t, int b, int p,
+                              state_t state, int level)
 {
-    int chord[2 * MAX_CHORDS], c = 0;
-    mask_t adj[MAX_CHORDS], at_open[MAX_CHORDS], open = 0;
-    for (int i = 0; i < w->size; i++) {
-        int q = w->partner[i];
-        if (q > i) {
-            chord[i] = c;
-            at_open[c] = open;
-            open |= 1u << c++;
-        }
-        else {
-            int d = chord[q];
-            open ^= 1u << d;
-            adj[d] = at_open[d] ^ open;
-        }
-    }
-    for (Py_ssize_t x = 0; x < w->nkept; x++)
-        if (!connected(adj, w->kept[x]))
-            return w->n - __builtin_popcount(w->kept[x]);
-    return w->top;
+    if (level < 2)
+        return level;
+    state_t y = state ^ t->twos;
+    if ((y - t->near) & ~y & t->near_highs)
+        return 1;
+    return level > 2 ? deeper_level(w, b, p, state, level) : level;
 }
 
 /* Run the closes from b on, up to the next free position or the end, with
  * both tests. Returns that position, or -1 when a proper interval closes. */
-static inline int close_run(const Walk *w, int b, state_t *state, int *cut)
+static inline int close_run(const Walk *w, int b, state_t *state, int *level)
 {
     int p;
     for (; b < w->size && (p = w->partner[b]) >= 0; b++) {
@@ -137,45 +129,33 @@ static inline int close_run(const Walk *w, int b, state_t *state, int *cut)
         state_t y = *state ^ t->closed;
         if ((y - t->closed) & ~y & t->closed_highs)
             return -1;
-        if (!*cut) {
-            y = *state ^ t->twos;
-            *cut = ((y - t->near) & ~y & t->near_highs) != 0;
-        }
+        *level = close_level(w, t, b, p, *state, *level);
         *state += t->update;
     }
     return b;
-}
-
-/* Level of a finished connected diagram. */
-static inline int leaf_level(const Walk *w, int cut)
-{
-    return cut ? 1 : w->nkept ? removal_level(w) : w->top;
 }
 
 /* Close the taken positions from b on, then open a chord c at the first
  * free one, run the closes up to the next free position f once, and try
  * each free partner j >= f for it; each child starts at f. The last chord
  * can only take f, so it is placed and its closes run here, with no child. */
-static void place(Walk *w, int b, int c, state_t state, int cut)
+static void place(Walk *w, int b, int c, state_t state, int level)
 {
     int p;
-    b = close_run(w, b, &state, &cut);
+    b = close_run(w, b, &state, &level);
     if (b < 0) {
         w->hist[0] += w->rest[c];
         return;
     }
     if (b == w->size) {
-        w->hist[leaf_level(w, cut)]++;
+        w->hist[level]++;
         return;
     }
     state += w->opens[b];
     int f = b + 1;
     while ((p = w->partner[f]) >= 0) {  /* b's partner is still free, so f < size */
         const Close *t = &w->closes[f][p];
-        if (!cut) {
-            state_t y = state ^ t->twos;
-            cut = ((y - t->near) & ~y & t->near_highs) != 0;
-        }
+        level = close_level(w, t, f, p, state, level);
         state += t->update;
         f++;
     }
@@ -188,7 +168,7 @@ static void place(Walk *w, int b, int c, state_t state, int cut)
         if (start == f) {
             w->partner[b] = f;
             w->partner[f] = b;
-            w->hist[close_run(w, f, &state, &cut) < 0 ? 0 : leaf_level(w, cut)]++;
+            w->hist[close_run(w, f, &state, &level) < 0 ? 0 : level]++;
             w->partner[b] = w->partner[f] = -1;
         }
         return;
@@ -198,7 +178,7 @@ static void place(Walk *w, int b, int c, state_t state, int cut)
             continue;
         w->partner[b] = j;
         w->partner[j] = b;
-        place(w, f, c + 1, state, cut);
+        place(w, f, c + 1, state, level);
         w->partner[j] = -1;
     }
     w->partner[b] = -1;
@@ -227,22 +207,12 @@ static int census(int n, int k, int root_partner, count_t *counts)
         return -1;
     }
     Walk *w = PyMem_Calloc(1, sizeof *w);
-    mask_t *kept = PyMem_New(mask_t, (size_t)1 << n);
-    if (w == NULL || kept == NULL) {
-        PyMem_Free(w);
-        PyMem_Free(kept);
+    if (w == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     w->n = n;
     w->size = size;
-    w->top = k < n ? k : n;
-    mask_t full = (1u << n) - 1u;
-    for (int r = 2; r < k && r < n; r++)
-        for (mask_t removed = 1; removed < full; removed++)
-            if (__builtin_popcount(removed) == r)
-                kept[w->nkept++] = full & ~removed;
-    w->kept = kept;
     for (int b = 0; b < size; b++) {
         w->partner[b] = -1;
         w->opens[b] = ones(0, b);
@@ -261,22 +231,22 @@ static int census(int n, int k, int root_partner, count_t *counts)
     for (int c = n - 1; c >= 0; c--)
         w->rest[c] = w->rest[c + 1] * (count_t)(2 * (n - c) - 1);
 
+    int top = k < n ? k : n;  /* the level every walk starts from */
     Py_BEGIN_ALLOW_THREADS
     if (root_partner == size && n >= 2)  /* the root chord (1, 2n) crosses nothing */
         w->hist[0] = w->rest[1];
     else if (root_partner) {
         w->partner[0] = root_partner - 1;
         w->partner[root_partner - 1] = 0;
-        place(w, 1, 1, w->opens[0], 0);
+        place(w, 1, 1, w->opens[0], top);
     }
     else
-        place(w, 0, 0, 0, 0);
+        place(w, 0, 0, 0, top);
     Py_END_ALLOW_THREADS
 
     counts[k] = w->hist[k];
     for (int j = k - 1; j >= 0; j--)
         counts[j] = counts[j + 1] + w->hist[j];
-    PyMem_Free(kept);
     PyMem_Free(w);
     return 0;
 }

@@ -19,15 +19,23 @@ into a classification:
   fixed once its last position is closed, so the walk tests for one before
   each close and skips the subtree, all of whose (2m-1)!! completions (m
   chords still to place) are disconnected.
-- A connected diagram on n >= 2 chords has a cut chord exactly when some
-  interval of 3..2n-3 positions has one external endpoint (the
-  characterization ``oracle.find_reasons_connectivity1`` lists). In a
-  connected diagram that interval ends at a close whose partner lies in it,
-  so the same test before each close sets the subtree's ``cut`` flag.
+- A connected diagram's level, the highest j for which it has at least j
+  chords and survives every removal of fewer than j chords, is the least
+  of n and e(I) over the intervals I with at least one chord wholly inside
+  and one wholly outside. Removing the e(I) chords that leave I separates
+  those two; a removal that disconnects the diagram leaves a closed proper
+  interval, all of whose external endpoints belong to removed chords. For
+  e = 1 these are the cut-chord intervals of 3..2n-3 positions that
+  ``oracle.find_reasons_connectivity1`` lists.
 
-So every diagram the walk reaches is connected, and for k <= 2 its level is
-read off ``cut``. Only for k >= 3 does a leaf without a cut build its
-crossing masks and search the graph left by each removal of 2..k-1 chords.
+The least e is reached at an interval that ends with a close whose partner
+lies in it (otherwise dropping that end lowers e and keeps both bounds). So
+the walk carries a level, starting at min(k, n), and before closing (p, b)
+lowers it to the least v below it for which some interval [a, b], a <= p,
+of at most 2n - v - 2 positions has e = v. The chord (p, b) lies inside
+such an interval and the size bound leaves a chord outside it. Every
+diagram the walk reaches is therefore connected, and its level is read off
+at the leaf with no graph search.
 
 The closes between a new chord and the next free position do not depend on
 that chord's partner, so they run once per node, not once per child, and
@@ -41,66 +49,40 @@ the remaining closes and visits the leaf itself.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 MAX_K = 10  # the compiled twin's bound on k (its MAX_CHORDS), so both reject alike
 
 
-def _connected(masks: list[int], keep: int) -> bool:
-    """True when the chords in ``keep`` induce a connected crossing graph."""
-    comp = frontier = keep & -keep
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & keep & ~comp
-        comp |= frontier
-    return comp == keep
-
-
-def _crossing_masks(partner: list[int]) -> list[int]:
-    """Crossing mask of each chord, chords numbered by left endpoint.
-
-    One sweep: a chord crosses exactly the chords in which the open set at
-    its opening and at its closing differ.
-    """
-    chord = [0] * len(partner)
-    at_open = []
-    masks = [0] * (len(partner) // 2)
-    open_ = 0
-    for pos, q in enumerate(partner):
-        if q > pos:
-            chord[pos] = len(at_open)
-            at_open.append(open_)
-            open_ |= 1 << chord[pos]
-        else:
-            c = chord[q]
-            open_ ^= 1 << c
-            masks[c] = at_open[c] ^ open_
-    return masks
-
-
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[tuple, tuple, tuple]:
-    """The walk's ``opens``, ``closes`` and ``rest`` tables for n chords.
+def _tables(n: int, deep: bool) -> tuple[tuple, tuple, tuple, tuple]:
+    """The walk's ``opens``, ``closes``, ``deeper`` and ``rest`` tables for n chords.
 
     Built on first use and shared by every walk on n chords, so they are
-    tuples: no walk can change them for the next.
+    tuples: no walk can change them for the next. ``deeper`` is empty unless
+    ``deep``: only a walk that starts above level 2 reads it.
 
     Field a of the packed state is ``width`` bits wide with a spare top bit.
     ``opens[b]`` has ones over fields 0..b. ``closes[b][p]`` holds the
     tests and the update for closing (p, b): ones and top bits over the
     fields tested for a closed interval, twos, ones and top bits over those
-    tested for a cut, and the update. ``rest[c]`` is (2(n - c) - 1)!!, the
-    completions of c placed chords.
+    tested for a cut (level 1), and the update. ``deeper[b][p]`` holds the
+    tests for the levels v >= 2 whose window of fields a >= b - 2n + v + 3
+    (intervals of at most 2n - v - 2 positions) is not empty, each as v
+    with v + 1s, ones and top bits over the window. ``rest[c]`` is
+    (2(n - c) - 1)!!, the completions of c placed chords.
     """
     size = 2 * n
     width = (size + 1).bit_length() + 1
 
     def ones(lo: int, hi: int) -> int:
         return sum(1 << a * width for a in range(lo, hi + 1))
+
+    def level_tests(b: int, p: int) -> tuple:
+        # the window of v, [b - 2n + v + 3, p], is empty from v = p - b + 2n - 2 on
+        vs = range(2, min(n, p - b + size - 2))
+        windows = ((v, ones(max(0, b - size + v + 3), p)) for v in vs)
+        return tuple((v, w * (v + 1), w, w << width - 1) for v, w in windows)
 
     opens = [ones(0, b) for b in range(size)]
     closes = []
@@ -114,40 +96,56 @@ def _tables(n: int) -> tuple[tuple, tuple, tuple]:
                 ones(p + 1, b) - ones(0, p),
             ))
         closes.append(tuple(row))
+    deeper = tuple(tuple(level_tests(b, p) for p in range(b)) for b in range(size) if deep)
     rest = [1] * (n + 1)
     for c in range(n - 1, -1, -1):
         rest[c] = rest[c + 1] * (2 * (n - c) - 1)
-    return tuple(opens), tuple(closes), tuple(rest)
+    return tuple(opens), tuple(closes), deeper, tuple(rest)
 
 
-def _walk(n: int, root_partner: int, visit) -> int:
-    """Call ``visit(partner, cut)`` once per connected diagram on n chords.
+def _deeper_level(state: int, tests: tuple, level: int) -> int:
+    """The least v in 2..level-1 whose test in ``tests`` hits, else level."""
+    for v, values, window, highs in tests:
+        if v >= level:
+            break
+        y = state ^ values
+        if (y - window) & ~y & highs:
+            return v
+    return level
+
+
+def _walk(n: int, root_partner: int, visit, k: int = 2) -> int:
+    """Call ``visit(partner, level)`` once per connected diagram on n chords.
 
     ``partner[i]`` is the 0-based partner of position i; the list is reused,
-    so ``visit`` must not keep it. ``cut`` is True when one chord's removal
-    disconnects the diagram. Diagrams are visited in enumeration order, and
-    the empty diagram (n = 0) is visited too. ``root_partner`` (1-based
-    position, 0 for unrestricted) pins the partner of position 1. Returns the
-    number of diagrams skipped, all of them disconnected.
+    so ``visit`` must not keep it. ``level`` is the highest j <= k for which
+    the diagram is j-connected, so with n >= 2 a level of 1 means that one
+    chord's removal disconnects it. Diagrams are visited in enumeration
+    order, and the empty diagram (n = 0) is visited too, at level 0.
+    ``root_partner`` (1-based position, 0 for unrestricted) pins the partner
+    of position 1. Returns the number of diagrams skipped, all of them
+    disconnected.
 
     The counts live in one integer: field a holds the external count of
     [a, b-1] while position b is next. Opening a chord at b adds 1 to fields
     0..b; closing one at b with partner p adds 1 to fields p+1..b and takes
     1 from fields 0..p. A field a <= p about to drop to 0 marks [a, b]
-    closed, and one about to drop to 1 marks a cut when [a, b] is short
-    enough. Each is found by the zero-field test ``(y - ones) & ~y & highs``
-    on ``y = state ^ value``, with ``ones`` only over the tested fields: a
-    zero field below them would otherwise borrow and give a false hit.
+    closed, and one about to drop to v marks level v when [a, b] has at most
+    2n - v - 2 positions. Each is found by the zero-field test
+    ``(y - ones) & ~y & highs`` on ``y = state ^ value``, with ``ones`` only
+    over the tested fields: a zero field below them would otherwise borrow
+    and give a false hit. The v = 1 test runs inline; only when it misses
+    below a level above 2 do the tests for v >= 2 run.
 
     After opening a chord at the free position b, the closes at b+1..f-1,
     where f is the next free position, have partners before b and do not
     depend on b's partner. So they run once, before the loop over partners
-    j >= f, and each child starts at f. This hoisted run keeps the cut test
-    and drops the closed test, which cannot fire there: each interval it
-    would test, [a, q] with a <= p < b < q, contains b, whose partner lies
-    beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
-    the chord (b, b+1) closes the proper interval [b, b+1], so all of its
-    completions are skipped at once.
+    j >= f, and each child starts at f. This hoisted run keeps the level
+    tests and drops the closed test, which cannot fire there: each interval
+    it would test, [a, q] with a <= p < b < q, contains b, whose partner
+    lies beyond q. When b+1 is free and n >= 2, the child j = b+1 is not
+    entered: the chord (b, b+1) closes the proper interval [b, b+1], so all
+    of its completions are skipped at once.
 
     When the chord opened at b is the n-th one and f is not the skipped
     b+1, its partner can only be f, the one other free position. So the
@@ -165,13 +163,13 @@ def _walk(n: int, root_partner: int, visit) -> int:
     size = 2 * n
     if root_partner and not 2 <= root_partner <= size:
         raise ValueError(f"root partner must lie in 2..{size}")
-    opens, closes, rest = _tables(n)
+    opens, closes, deeper, rest = _tables(n, min(k, n) > 2)
     if root_partner == size and n >= 2:  # the root chord (1, 2n) crosses nothing
         return rest[1]
     partner = [-1] * size
     skipped = 0
 
-    def place(b: int, c: int, state: int, cut: bool) -> None:
+    def place(b: int, c: int, state: int, level: int) -> None:
         nonlocal skipped
         while b < size and (p := partner[b]) >= 0:
             closed, closed_highs, twos, near, near_highs, update = closes[b][p]
@@ -179,21 +177,27 @@ def _walk(n: int, root_partner: int, visit) -> int:
             if (y - closed) & ~y & closed_highs:
                 skipped += rest[c]
                 return
-            if not cut:
+            if level > 1:
                 y = state ^ twos
-                cut = (y - near) & ~y & near_highs != 0
+                if (y - near) & ~y & near_highs:
+                    level = 1
+                elif level > 2:
+                    level = _deeper_level(state, deeper[b][p], level)
             state += update
             b += 1
         if b == size:
-            visit(partner, cut)
+            visit(partner, level)
             return
         state += opens[b]
         f = b + 1
         while (p := partner[f]) >= 0:  # b's partner is still free, so f < size
             _, _, twos, near, near_highs, update = closes[f][p]
-            if not cut:
+            if level > 1:
                 y = state ^ twos
-                cut = (y - near) & ~y & near_highs != 0
+                if (y - near) & ~y & near_highs:
+                    level = 1
+                elif level > 2:
+                    level = _deeper_level(state, deeper[f][p], level)
             state += update
             f += 1
         start = f
@@ -211,29 +215,32 @@ def _walk(n: int, root_partner: int, visit) -> int:
                     if (y - closed) & ~y & closed_highs:
                         skipped += 1  # rest[n]
                         break
-                    if not cut:
+                    if level > 1:
                         y = state ^ twos
-                        cut = (y - near) & ~y & near_highs != 0
+                        if (y - near) & ~y & near_highs:
+                            level = 1
+                        elif level > 2:
+                            level = _deeper_level(state, deeper[q][partner[q]], level)
                     state += update
                     q += 1
                 else:
-                    visit(partner, cut)
+                    visit(partner, level)
                 partner[b] = partner[f] = -1
             return
         for j in range(start, size):
             if partner[j] < 0:
                 partner[b] = j
                 partner[j] = b
-                place(f, c + 1, state, cut)
+                place(f, c + 1, state, level)
                 partner[j] = -1
         partner[b] = -1
 
     if root_partner:
         partner[0] = root_partner - 1
         partner[root_partner - 1] = 0
-        place(1, 1, opens[0], False)
+        place(1, 1, opens[0], min(k, n))
     else:
-        place(0, 0, 0, False)
+        place(0, 0, 0, min(k, n))
     return skipped
 
 
@@ -243,36 +250,22 @@ def class_census(n: int, root_partner: int = 0, k: int = 2) -> tuple[int, ...]:
     k lies in 1..MAX_K, and the default k = 2 gives (total, connected,
     2-connected). ``root_partner`` (1-based position, 0 for unrestricted)
     pins the partner of position 1, partitioning the enumeration. Each
-    diagram the walk visits is connected
-    and gets the highest j <= k for which it has at least j chords and
-    survives every removal of fewer than j chords: 1 with a cut chord,
-    otherwise the first removal of 2..k-1 chords that disconnects it, or
-    min(k, n). The diagrams it skips are disconnected and count at level 0,
-    as does the empty diagram.
+    diagram the walk visits is connected and counts at its level: the least
+    of min(k, n) and e(I), the external endpoints of an interval I with a
+    chord wholly inside and one wholly outside, tested before each close on
+    the intervals [a, b] of at most 2n - v - 2 positions for each v below
+    the level. The diagrams it skips are disconnected and count at level 0,
+    as does the empty diagram. Levels above n stay 0.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be at least 1 and at most {MAX_K}")
-    full = (1 << n) - 1
-    kept = [  # chords left after each removal, ascending in the number removed
-        full & ~sum(1 << c for c in removed)
-        for r in range(2, min(k - 1, n - 1) + 1)
-        for removed in combinations(range(n), r)
-    ]
-    top = min(k, n)
-    by_level = [0] * (k + 1)
+    by_level = [0] * (min(k, n) + 1)
 
-    def visit(partner: list[int], cut: bool) -> None:
-        level = 1 if cut else top
-        if kept and not cut:
-            masks = _crossing_masks(partner)
-            for keep in kept:
-                if not _connected(masks, keep):
-                    level = n - keep.bit_count()
-                    break
+    def visit(partner: list[int], level: int) -> None:
         by_level[level] += 1
 
-    skipped = _walk(n, root_partner, visit)  # visit updates by_level[0] for n = 0
+    skipped = _walk(n, root_partner, visit, k)  # visit updates by_level[0] for n = 0
     by_level[0] += skipped
-    return tuple(accumulate(reversed(by_level)))[::-1]
+    return tuple(accumulate(reversed(by_level)))[::-1] + (0,) * (k - n)  # levels above n

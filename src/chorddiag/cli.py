@@ -158,6 +158,8 @@ def cmd_alien(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.terms < 1:
+        raise UsageError("terms must be at least 1")
     if args.n_to < args.n_from:
         raise UsageError("--n-to must not be below --n-from")
     order = max(args.terms - 1, 1)
@@ -281,7 +283,7 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
     roundtrip_top = min(5, cap)
     bad = seen = 0
 
-    def round_trip(partner: list[int], cut: bool) -> None:
+    def round_trip(partner: list[int], level: int) -> None:
         nonlocal bad, seen
         seen += 1
         diagram = oracle.ChordDiagram([q + 1 for q in partner])

@@ -545,10 +545,10 @@ def _census(
 def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionCase, int]:
     """Decomposition-case counts over all connected diagrams on n chords.
 
-    The pure-Python census walker visits exactly the connected diagrams and
-    flags those with a cut chord. A diagram on n >= 2 chords without one
-    has no witness interval, so it is root-free; one with a cut chord gets
-    the start-1 witness sweep of ``_case``.
+    The pure-Python census walker visits exactly the connected diagrams,
+    each with its level; on n >= 2 chords level 1 flags a cut chord. A
+    diagram without one has no witness interval, so it is root-free; one
+    with a cut chord gets the start-1 witness sweep of ``_case``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -559,9 +559,9 @@ def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionC
     elif n >= 2:
         by_case = [0, 0]  # root-free, root-covered
 
-        def visit(partner: list[int], cut: bool) -> None:
+        def visit(partner: list[int], level: int) -> None:
             # _reasons reads 1-based partners and yields truthy witnesses
-            root_covered = cut and any(_reasons([q + 1 for q in partner], (1,)))
+            root_covered = level == 1 and any(_reasons([q + 1 for q in partner], (1,)))
             by_case[root_covered] += 1
 
         _census_py._walk(n, 0, visit)

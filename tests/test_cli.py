@@ -1,14 +1,17 @@
 """Command line surface: output formats, exit codes, cap handling."""
 
+import argparse
 import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chorddiag import gf, oracle
-from chorddiag.cli import _emit_series, main
+from chorddiag.cli import _emit_series, build_parser, main
 from chorddiag.series import PowerSeries, series_from_json_dict
 
 
@@ -275,11 +278,11 @@ class TestVerify:
         def dropping(n, root_partner, visit):
             first = [n == 4]
 
-            def keep_all_but_first(partner, cut):
+            def keep_all_but_first(partner, level):
                 if first[0]:
                     first[0] = False
                 else:
-                    visit(partner, cut)
+                    visit(partner, level)
 
             return original(n, root_partner, keep_all_but_first)
 
@@ -387,6 +390,23 @@ class TestEstimate:
         assert code == 2
         assert "n-to" in err
 
+    @pytest.mark.parametrize("terms", ["0", "-2"])
+    def test_terms_validation(self, capsys, monkeypatch, terms):
+        from chorddiag import alien
+
+        def refuse(order):
+            raise AssertionError("no series work before the terms check")
+
+        monkeypatch.setattr(alien, "alien_two_connected", refuse)
+        code, out, err = run(
+            capsys,
+            "estimate", "--family", "C2", "--terms", terms,
+            "--n-from", "20", "--n-to", "30",
+        )
+        assert code == 2
+        assert out == ""
+        assert "terms must be at least 1" in err
+
     @pytest.mark.parametrize("digits", ["0", "-3"])
     def test_digits_validation(self, capsys, digits):
         code, out, err = run(
@@ -438,3 +458,61 @@ class TestQft:
         code, _, err = run(capsys, "qft", "--quadratic", "1/0", "--coupling", "3=1")
         assert code == 2
         assert err.startswith("error:") and "quadratic" in err
+
+
+def _option_values(action):
+    """Argument strings for one option: its choices, small integers, or text built from them."""
+    numbers = st.integers(-3, 12).map(str)
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return numbers
+    return st.one_of(
+        numbers,
+        st.builds("{}/{}".format, numbers, numbers),
+        st.builds("{}={}".format, numbers, numbers),
+        st.builds("k:{}".format, numbers),
+        st.builds("{}: {}".format, numbers, st.lists(numbers, max_size=6).map(" ".join)),
+        st.sampled_from(["", "x", "connected", "1=1/0", "k:", "2: 3 4 1 2"]),
+    )
+
+
+@st.composite
+def _argv(draw):
+    """A command line: a subcommand and a random subset of its options."""
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    command = draw(st.sampled_from(sorted(subparsers.choices)))
+    argv = [command]
+    for action in subparsers.choices[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        # a required option is left out one time in eight, so most lines get past argparse
+        present = st.integers(0, 7).map(bool) if action.required else st.booleans()
+        if not draw(present):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(draw(_option_values(action)))
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=_argv())
+    def test_every_command_line_exits_0_1_or_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("CHORDDIAG_CAP", "5")
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse's usage errors
+            code = stop.code
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert code != 1 or argv[0] == "verify", argv

@@ -32,6 +32,17 @@ def odd_double_factorial(n: int) -> int:
     return result
 
 
+def graph_level(diagram: ChordDiagram, k: int) -> int:
+    """The highest j <= k for which the diagram is j-connected, by graph search."""
+    j = 0
+    while j < k and is_k_connected(diagram, j + 1):
+        j += 1
+    return j
+
+
+ALL_LEVELS_N7 = (135135, 38232, 10113, 2187, 339, 29, 1, 1)
+
+
 class TestChordDiagram:
     def test_validation(self):
         with pytest.raises(ValueError, match="involution"):
@@ -432,35 +443,41 @@ class TestCensusBackends:
 
         for n in range(1, 7):
             for rp in (0, *range(2, 2 * n + 1)):
-                expected = {}
+                top = {}  # the full level of each connected diagram
                 for d in enumerate_diagrams(n, root_partner=rp or None):
                     partner = tuple(q - 1 for q in d.pairing)
-                    if connected(partner):  # the single chord has no cut chord
-                        expected[partner] = n > 1 and not is_k_connected(d, 2)
-                leaves = {}
+                    if connected(partner):
+                        top[partner] = graph_level(d, n + 1)
+                for k in (1, 2, 3, n + 1):
+                    leaves = {}
 
-                def visit(partner, cut):
-                    leaves[tuple(partner)] = cut
+                    def visit(partner, level):
+                        leaves[tuple(partner)] = level
 
-                skipped = _census_py._walk(n, rp, visit)
-                assert leaves == expected, (n, rp)
-                assert list(leaves) == list(expected), (n, rp)  # enumeration order
-                assert len(leaves) + skipped == odd_double_factorial(n - 1 if rp else n)
+                    skipped = _census_py._walk(n, rp, visit, k)
+                    expected = {partner: min(level, k) for partner, level in top.items()}
+                    assert leaves == expected, (n, rp, k)
+                    assert list(leaves) == list(expected), (n, rp, k)  # enumeration order
+                    assert len(leaves) + skipped == odd_double_factorial(n - 1 if rp else n)
                 if (n, rp) == (6, 0):
                     assert len(leaves) == 2830
 
     def test_walk_totals_n7(self):
-        leaves = [0, 0]
+        by_level = [0] * 8
+        sample = []
 
-        def visit(partner, cut):
+        def visit(partner, level):
             assert -1 not in partner
-            leaves[0] += 1
-            leaves[1] += cut
+            if sum(by_level) % 97 == 0:
+                sample.append((ChordDiagram([q + 1 for q in partner]), level))
+            by_level[level] += 1
 
-        skipped = _census_py._walk(7, 0, visit)
-        assert leaves == [38232, 28119]
+        skipped = _census_py._walk(7, 0, visit, 7)
+        assert by_level == [0, 28119, 7926, 1848, 310, 28, 0, 1]
         assert skipped == 96903
-        assert leaves[0] + skipped == odd_double_factorial(7)
+        assert sum(by_level) + skipped == odd_double_factorial(7)
+        for diagram, level in sample:  # every 97th leaf against the graph search
+            assert level == graph_level(diagram, 7), diagram
 
     def test_bad_input_rejected(self, census_kernels):
         for kernel in census_kernels:
@@ -476,17 +493,21 @@ class TestCensusBackends:
             with pytest.raises(ValueError, match="k must be at least 1 and at most 10"):
                 kernel.class_census(3, 0, 11)
         with pytest.raises(ValueError, match="n must"):
-            _census_py._walk(-1, 0, lambda partner, cut: None)
+            _census_py._walk(-1, 0, lambda partner, level: None)
 
     def test_k_census_matches_predicate(self, census_kernels, monkeypatch):
         for n in range(1, 7):
             diagrams = list(enumerate_diagrams(n))
-            for k in (1, 2, 3, 4):
+            for k in range(1, n + 2):  # k = n + 1 checks the all-zero top column
                 brute = sum(1 for d in diagrams if is_k_connected(d, k))
                 for kernel in census_kernels:
                     monkeypatch.setattr(oracle, "_census_impl", kernel)
                     assert oracle.k_connected_census(n, k) == brute, (kernel.__name__, n, k)
                     assert kernel.class_census(n, 0, k)[k] == brute, (kernel.__name__, n, k)
+
+    def test_all_levels_n7_pinned(self, census_kernels):
+        for kernel in census_kernels:
+            assert tuple(kernel.class_census(7, 0, 7)) == ALL_LEVELS_N7, kernel.__name__
 
     def test_root_partner_partition_sums(self, census_kernels):
         total = sum(
@@ -536,8 +557,11 @@ class TestCensusBackends:
     def test_root_chord_to_last_position_is_skipped_whole(self, census_kernels):
         for n in range(2, 8):
             visited = []
-            skipped = _census_py._walk(n, 2 * n, lambda partner, cut: visited.append(cut))
-            assert visited == [] and skipped == odd_double_factorial(n - 1), n
+            for k in (2, n):
+                skipped = _census_py._walk(
+                    n, 2 * n, lambda partner, level: visited.append(level), k
+                )
+                assert visited == [] and skipped == odd_double_factorial(n - 1), (n, k)
         for kernel in census_kernels:
             assert tuple(kernel.class_census(1, 2)) == (1, 1, 0), kernel.__name__
 
