@@ -14,8 +14,10 @@ The closed-form images of the connected and 2-connected series run on
 integer lists: their series parts are integer series times exp(-g/2) for an
 integer series g, and n! * 2^n times the n-th coefficient of such an
 exponential is an integer (see _extend_scaled_exp), so the only division is
-the last one, by n! * 2^n. Each image keeps its integer rows in one
-``gf.GrowOnly`` cache, so a larger order extends them.
+the last one, by n! * 2^n. The connected image reads C and C^2/x; the
+2-connected one reads S alone, since S = 1/(1 - C2/x) gives C2*S = x(S - 1).
+Each image keeps its integer rows in one ``gf.GrowOnly`` cache, so a larger
+order extends them.
 
 The alien derivative obeys a product rule, and for inner series tangent to
 the identity a chain rule and an inversion rule; those three rules, plus the
@@ -179,7 +181,6 @@ def _convolution(a: list[int], b: list[int], k: int) -> int:
 def _extend_two_connected_image(
     order: int,
     s_plus_x_sq: list[int],
-    c2s: list[int],
     inverse: list[int],
     exp_weights: list[int],
     e: list[int],
@@ -188,27 +189,25 @@ def _extend_two_connected_image(
 ) -> None:
     """The integer rows of the 2-connected closed form, grown to ``order``.
 
-    (S+x)^2 and C2*S reach order + 2, x^2/(C2*S) reaches ``order``, and e,
-    the scaled exponential (weight 2) of minus [(S+x)^2 - 1]/x, reaches
+    (S+x)^2 reaches order + 2, x^2/(C2*S) reaches ``order``, and e, the
+    scaled exponential (weight 2) of minus [(S+x)^2 - 1]/x, reaches
     order + 1: e^2 * exp(-[(S+x)^2-1]/(2x)) = sum e_m x^m / (2^m m!).
-    S and C2 are read through gf's public builders.
+    S = 1/(1 - C2/x) gives C2*S = x(S - 1), so x^2/(C2*S) = x/(S - 1) is
+    the reciprocal of (S - 1)/x, and S, read through gf's public builder,
+    is the only series the image needs.
     """
     s = integer_coefficients(gf.series_two_connected_sequences(order + 2))
-    c2 = integer_coefficients(gf.series_two_connected(order + 2))
     s_plus_x = [v + (k == 1) for k, v in enumerate(s)]
     for k in range(len(s_plus_x_sq), order + 3):
         s_plus_x_sq.append(_convolution(s_plus_x, s_plus_x, k))
-        c2s.append(_convolution(c2, s, k))
     if Fraction(-s_plus_x_sq[1], 2) != -2:
         raise AssertionError("exponent constant must be -2 for the 2-connected family")
-    truncated_reciprocal(c2s[2:], order, inverse)
+    truncated_reciprocal(s[1:], order, inverse)
     _extend_scaled_exp([-v for v in s_plus_x_sq[1:]], 2, order + 1, exp_weights, e)
     _extend_scaled_product(inverse, e, 2, order, weights, series)
 
 
-_two_connected_image = gf.GrowOnly(
-    _extend_two_connected_image, [], [], [], [], [1], [], []
-)
+_two_connected_image = gf.GrowOnly(_extend_two_connected_image, [], [], [], [1], [], [])
 
 
 @_two_connected_image.serves
@@ -347,21 +346,23 @@ IMAGE_REFERENCE: dict[str, tuple] = {
 def image_table_series(order: int) -> dict[str, PowerSeries]:
     """The ingredient series of the 2-connected image's closed form.
 
-    The rows are prefixes of the 2-connected image's cache. The last row is
+    C2*S is x(S - 1), read off the S row; the other rows past S are
+    prefixes of the 2-connected image's cache. The last row is
     the exponential factor with its transcendental constant e^-2 stripped
     (2 being the constant term of the row above), so all entries are exact
     rationals.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    s_plus_x_sq, c2s, inverse, _, e, _, _ = _two_connected_image.grow(order)
+    s_plus_x_sq, inverse, _, e, _, _ = _two_connected_image.grow(order)
+    s = gf.series_two_connected_sequences(order + 2)
     return {
-        "S": gf.series_two_connected_sequences(order + 2),
+        "S": s,
         "(S+x)^2": PowerSeries(s_plus_x_sq[: order + 3]),
         "[(S+x)^2-1]/(2x)": PowerSeries(
             [Fraction(v, 2) for v in s_plus_x_sq[1 : order + 3]]
         ),
-        "C2*S": PowerSeries(c2s[: order + 3]),
+        "C2*S": (s - 1).mul_x_pow(1).truncate(order + 2),
         "x^2/(C2*S)": PowerSeries(inverse[: order + 1]),
         "e^2*exp(-[(S+x)^2-1]/(2x))": PowerSeries(
             [Fraction(v, 2**m * factorial(m)) for m, v in enumerate(e[: order + 2])]
@@ -407,11 +408,7 @@ def _step(
     return ChainStep(name, bad is None and prefactors_agree, bad)
 
 
-def verify_derivation_chain(
-    order: int,
-    connected_image: Optional[AsymptoticImage] = None,
-    two_connected_image: Optional[AsymptoticImage] = None,
-) -> ChainReport:
+def verify_derivation_chain(order: int) -> ChainReport:
     """Check each step of the derivation tying the two closed forms together.
 
     (a) The chain rule applied to the functional relation: the image of the
@@ -422,8 +419,7 @@ def verify_derivation_chain(
         form of the 2-connected image.
 
     All three are exact identities, verified coefficient by coefficient up to
-    ``order``; optional image arguments substitute for the computed ones (so
-    corrupted inputs can be shown to fail).
+    ``order``.
     """
     if order < 6:
         raise ValueError("order must be at least 6")
@@ -431,12 +427,8 @@ def verify_derivation_chain(
     c = gf.series_connected(work + 1)
     t = gf.connected_sq_div_x(work)
     c2 = gf.series_two_connected(work)
-    a_c = connected_image if connected_image is not None else alien_connected(work)
-    a_c2 = (
-        two_connected_image
-        if two_connected_image is not None
-        else alien_two_connected(work)
-    )
+    a_c = alien_connected(work)
+    a_c2 = alien_two_connected(work)
 
     # (a) chain rule across the functional relation. Its two terms carry the
     # prefactor of image(t), which is that of image(C), and that of image(C2)

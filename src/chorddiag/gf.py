@@ -314,15 +314,11 @@ def check_substitution_inverse(order: int) -> bool:
     return t.reverse() == expected.truncate(order)
 
 
-def verify_derivative_identity(
-    order: int, two_connected: PowerSeries | None = None
-) -> bool:
+def verify_derivative_identity(order: int) -> bool:
     """C' = (C - x)/x^2 * [1 - C2'(C^2/x)], exactly to order-1.
 
     Internally everything is computed with extra truncation margin so the
-    comparison at order-1 is fully determined. ``two_connected`` substitutes
-    for the computed 2-connected series (so a perturbed series can be shown
-    to break the identity).
+    comparison at order-1 is fully determined.
     """
     if order < 3:
         raise ValueError("order must be at least 3")
@@ -331,8 +327,7 @@ def verify_derivative_identity(
     x = PowerSeries.x(margin)
     lhs = series_connected(order).derivative()
     t = connected_sq_div_x(margin)
-    c2 = two_connected if two_connected is not None else series_two_connected(margin)
-    c2_deriv = c2.derivative()
+    c2_deriv = series_two_connected(margin).derivative()
     factor = 1 - c2_deriv.compose(t)
     rhs = (c - x).div_x_pow(2) * factor
     target = min(order - 1, rhs.order)
@@ -361,7 +356,7 @@ def decomposition_table_series(order: int) -> dict[str, PowerSeries]:
     c = series_connected(order + 1)
     c2_shifted = series_two_connected(order + 2).div_x_pow(2)
     middle = c2_shifted.compose(t)
-    csq = (c * c).truncate(middle.order)
+    csq = t.mul_x_pow(1).truncate(middle.order)  # C^2 = x * (C^2/x)
     row3 = csq * middle
     row4 = (c - PowerSeries.x(c.order)).div_x_pow(1) * row3
     return {

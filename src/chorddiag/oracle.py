@@ -199,16 +199,13 @@ class IntersectionGraph:
         return seen == keep
 
 
-def enumerate_diagrams(
-    n: int, cap: Optional[int] = DEFAULT_CAP, root_partner: Optional[int] = None
-) -> Iterator[ChordDiagram]:
+def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[ChordDiagram]:
     """All (2n-1)!! rooted diagrams on n chords, in deterministic order.
 
     The smallest free position is always matched first, and its partners are
-    tried left to right. ``root_partner`` restricts position 1 to a fixed
-    partner, which partitions the search space for concurrent censuses.
-    ``cap`` bounds n (pass None to lift it; the double factorial growth is
-    on the caller by then).
+    tried left to right, so the diagrams come grouped by the partner of
+    position 1, in increasing order. ``cap`` bounds n (pass None to lift it;
+    the double factorial growth is on the caller by then).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -218,18 +215,10 @@ def enumerate_diagrams(
         return
     size = 2 * n
     partner = [0] * (size + 2)  # 1-based; the free slot size + 1 ends each search
-    if root_partner is not None:
-        if not 2 <= root_partner <= size:
-            raise ValueError(f"root partner must lie in 2..{size}")
-        partner[1] = root_partner
-        partner[root_partner] = 1
     # Depth first, with the placed chords (i, j) on an explicit stack: i was
     # the smallest free position when the chord was placed, j its partner.
     stack = []
-    i = j = partner.index(0, 1)
-    if i > size:  # n = 1 with the root's partner pinned
-        yield ChordDiagram(partner[1:-1])
-        return
+    i = j = 1
     while True:
         j = partner.index(0, j + 1)
         if j > size:  # every partner of i tried: take back the chord before
@@ -408,43 +397,28 @@ def _insert_interval(diagram: ChordDiagram, removal: ReasonRemoval) -> ChordDiag
     return ChordDiagram(pairing)
 
 
-def _maximal_reason_from(reasons: list[Reason], start: int) -> Reason:
-    candidates = [r for r in reasons if r.start == start]
-    return max(candidates, key=lambda r: r.end)
-
-
-def _case(diagram: ChordDiagram) -> DecompositionCase:
-    """The case of a connected diagram: root-covered when a witness starts at 1.
-
-    A witness interval contains the root endpoint exactly when it starts at
-    position 1, so one sweep from there decides the case.
-    """
-    if diagram.n == 1:
-        return DecompositionCase.SINGLE_CHORD
-    if next(_reasons(diagram.pairing, (1,)), None) is not None:
-        return DecompositionCase.ROOT_COVERED
-    return DecompositionCase.ROOT_FREE
-
-
 def decompose_connected(diagram: ChordDiagram) -> Decomposition:
     """Split a connected diagram into a 2-connected core plus attachments.
 
-    The single chord is its own (degenerate) decomposition. Otherwise the
-    maximal cut-witness intervals are peeled off left to right, each removed
-    without its cut chord; when the root endpoint itself lies in such an
-    interval, that interval is peeled first and the rest proceeds as in the
-    root-free situation. The core that remains is 2-connected.
+    Each step peels the longest cut witness from the smallest start that
+    has one, removed without its cut chord, until no witness is left; the
+    core that remains is 2-connected. A witness contains the root endpoint
+    exactly when it starts at position 1, so the diagram is root-covered
+    when its first peel starts there and root-free otherwise. The single
+    chord has no witness and is its own (degenerate) decomposition.
     """
     if not is_connected(diagram):
         raise ValueError("decomposition is defined for connected diagrams only")
-    case = _case(diagram)
-    reasons = find_reasons_connectivity1(diagram)
     removals: list[ReasonRemoval] = []
     current = diagram
-    while reasons:
-        leftmost = min(r.start for r in reasons)
-        reason = _maximal_reason_from(reasons, leftmost)
+    start = 1
+    while start <= current.size:
         pairing = current.pairing
+        witnesses = list(_reasons(pairing, (start,)))
+        if not witnesses:
+            start += 1
+            continue
+        reason = witnesses[-1]  # the sweep yields the ends in increasing order
         pairs = set()
         for pos in range(reason.start, reason.end + 1):
             if pos == reason.cut_position:
@@ -456,7 +430,13 @@ def decompose_connected(diagram: ChordDiagram) -> Decomposition:
         )
         removals.append(removal)
         current = _remove_interval(current, removal)
-        reasons = find_reasons_connectivity1(current)
+        start = 1
+    if diagram.n == 1:
+        case = DecompositionCase.SINGLE_CHORD
+    elif removals and removals[0].start == 1:
+        case = DecompositionCase.ROOT_COVERED
+    else:
+        case = DecompositionCase.ROOT_FREE
     return Decomposition(case, current, tuple(removals))
 
 
@@ -548,7 +528,8 @@ def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionC
     The pure-Python census walker visits exactly the connected diagrams,
     each with its level; on n >= 2 chords level 1 flags a cut chord. A
     diagram without one has no witness interval, so it is root-free; one
-    with a cut chord gets the start-1 witness sweep of ``_case``.
+    with a cut chord is root-covered when a witness starts at position 1,
+    which is when ``decompose_connected`` peels first from there.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -414,10 +414,17 @@ def series_to_json_dict(f: PowerSeries) -> dict:
     }
 
 
+def _serialized_fraction(num, den) -> Fraction:
+    """num/den from decimal strings; ValueError, not ZeroDivisionError, for den 0."""
+    if int(den) == 0:
+        raise ValueError("a serialized coefficient has denominator 0")
+    return Fraction(int(num), int(den))
+
+
 def series_from_json_dict(data: dict) -> PowerSeries:
     order = int(data["order"])
     coeffs = [
-        Fraction(int(item["num"]), int(item["den"])) for item in data["coefficients"]
+        _serialized_fraction(item["num"], item["den"]) for item in data["coefficients"]
     ]
     if len(coeffs) != order + 1:
         raise ValueError("coefficient list length does not match order+1")
@@ -434,7 +441,7 @@ def series_to_csv_rows(f: PowerSeries) -> list[tuple[int, str, str]]:
 def series_from_csv_rows(rows: Sequence[Sequence]) -> PowerSeries:
     coeffs: dict[int, Fraction] = {}
     for idx, num, den in rows:
-        coeffs[int(idx)] = Fraction(int(num), int(den))
-    if sorted(coeffs) != list(range(len(coeffs))):
+        coeffs[int(idx)] = _serialized_fraction(num, den)
+    if sorted(coeffs) != list(range(len(rows))):  # a repeated index leaves one short
         raise ValueError("csv rows must cover indices 0..N exactly once")
-    return PowerSeries([coeffs[i] for i in range(len(coeffs))])
+    return PowerSeries([coeffs[i] for i in range(len(rows))])

@@ -392,7 +392,7 @@ class TestDerivationChain:
     def test_passes_at_6(self):
         assert verify_derivation_chain(6).passed
 
-    def test_corrupted_connected_image_fails_step_one(self):
+    def test_corrupted_connected_image_fails_step_one(self, monkeypatch):
         work = 6 + 3
         image = alien_connected(work)
         bumped = list(image.series.coefficients)
@@ -400,31 +400,34 @@ class TestDerivationChain:
         corrupted = AsymptoticImage(
             image.e_exp, image.sqrt_two_pi_exp, PowerSeries(bumped)
         )
-        report = verify_derivation_chain(6, connected_image=corrupted)
+        monkeypatch.setattr(alien, "alien_connected", lambda order: corrupted)
+        report = verify_derivation_chain(6)
         step = report.steps[0]
         assert not step.passed
         assert step.first_mismatch is not None
 
-    def test_corrupted_two_connected_prefactor_fails_steps(self):
+    def test_corrupted_two_connected_prefactor_fails_steps(self, monkeypatch):
         image = alien_two_connected(15)
         corrupted = AsymptoticImage(
             image.e_exp + 1, image.sqrt_two_pi_exp, image.series
         )
-        report = verify_derivation_chain(12, two_connected_image=corrupted)
+        monkeypatch.setattr(alien, "alien_two_connected", lambda order: corrupted)
+        report = verify_derivation_chain(12)
         assert not report.passed
         assert not report.steps[0].passed
         assert not report.steps[1].passed
 
-    def test_corrupted_connected_prefactor_fails_step_one(self):
+    def test_corrupted_connected_prefactor_fails_step_one(self, monkeypatch):
         image = alien_connected(16)
         corrupted = AsymptoticImage(
             image.e_exp, image.sqrt_two_pi_exp + 1, image.series
         )
-        report = verify_derivation_chain(12, connected_image=corrupted)
+        monkeypatch.setattr(alien, "alien_connected", lambda order: corrupted)
+        report = verify_derivation_chain(12)
         assert not report.passed
         assert not report.steps[0].passed
 
-    def test_corrupted_two_connected_image_fails(self):
+    def test_corrupted_two_connected_image_fails(self, monkeypatch):
         work = 6 + 3
         image = alien_two_connected(work)
         bumped = list(image.series.coefficients)
@@ -432,5 +435,6 @@ class TestDerivationChain:
         corrupted = AsymptoticImage(
             image.e_exp, image.sqrt_two_pi_exp, PowerSeries(bumped)
         )
-        report = verify_derivation_chain(6, two_connected_image=corrupted)
+        monkeypatch.setattr(alien, "alien_two_connected", lambda order: corrupted)
+        report = verify_derivation_chain(6)
         assert not report.passed

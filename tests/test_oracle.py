@@ -83,13 +83,6 @@ class TestEnumeration:
         seen = set(enumerate_diagrams(4))
         assert len(seen) == 105
 
-    def test_root_partner_partition(self):
-        whole = list(enumerate_diagrams(3))
-        parts = []
-        for rp in range(2, 7):
-            parts.extend(enumerate_diagrams(3, root_partner=rp))
-        assert sorted(d.pairing for d in parts) == sorted(d.pairing for d in whole)
-
     def test_order_matches_recursive_reference(self):
         def reference(n, root_partner):
             """The recursive enumeration: smallest free position, partners left to right."""
@@ -114,14 +107,11 @@ class TestEnumeration:
             yield from fill(1)
 
         for n in range(1, 6):
-            for rp in [None, *range(2, 2 * n + 1)]:
-                got = [d.pairing for d in enumerate_diagrams(n, root_partner=rp)]
+            whole = [d.pairing for d in enumerate_diagrams(n)]
+            assert whole == list(reference(n, None)), n
+            for rp in range(2, 2 * n + 1):
+                got = [p for p in whole if p[0] == rp]
                 assert got == list(reference(n, rp)), (n, rp)
-
-    def test_bad_root_partner(self):
-        for rp in (1, 7):
-            with pytest.raises(ValueError, match="root partner"):
-                next(enumerate_diagrams(3, root_partner=rp))
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match="cap of 8"):
@@ -323,7 +313,7 @@ class TestDecomposition:
             expected = {case: 0 for case in DecompositionCase}
             for d in enumerate_diagrams(n):
                 if is_connected(d):
-                    expected[oracle._case(d)] += 1
+                    expected[decompose_connected(d).case] += 1
             assert oracle.case_census(n) == expected, n
 
     def test_case_census_edges(self):
@@ -349,6 +339,28 @@ class TestDecomposition:
                 assert recompose(dec) == d
                 if dec.case is not DecompositionCase.SINGLE_CHORD:
                     assert is_k_connected(dec.core, 2)
+                covered = any(r.start == 1 for r in find_reasons_connectivity1(d))
+                assert (dec.case is DecompositionCase.ROOT_COVERED) == covered, d
+
+    def test_peels_the_longest_leftmost_witness(self):
+        d = ChordDiagram.from_text("4: 3 5 1 7 2 8 4 6")
+        assert decompose_connected(d).removals == (
+            oracle.ReasonRemoval(1, 5, 4, ((1, 3), (2, 5))),
+        )
+        for n in range(1, 6):
+            for d in enumerate_diagrams(n):
+                if not is_connected(d):
+                    continue
+                dec = decompose_connected(d)
+                for step, removal in enumerate(dec.removals):
+                    # the diagram this step was applied to
+                    current = recompose(
+                        oracle.Decomposition(dec.case, dec.core, dec.removals[step:])
+                    )
+                    witnesses = find_reasons_connectivity1(current)
+                    start = min(r.start for r in witnesses)
+                    end = max(r.end for r in witnesses if r.start == start)
+                    assert (removal.start, removal.end) == (start, end), (d, step)
 
     def test_malformed_attachment_rejected(self):
         d = ChordDiagram([5, 4, 6, 2, 1, 3])
@@ -418,7 +430,7 @@ class TestCensusBackends:
     def test_partitions_match_enumeration(self, census_kernels):
         for n in range(1, 7):
             for rp in (0, *range(2, 2 * n + 1)):
-                diagrams = list(enumerate_diagrams(n, root_partner=rp or None))
+                diagrams = [d for d in enumerate_diagrams(n) if not rp or d.pairing[0] == rp]
                 expected = (
                     len(diagrams),
                     sum(1 for d in diagrams if is_connected(d)),
@@ -444,9 +456,9 @@ class TestCensusBackends:
         for n in range(1, 7):
             for rp in (0, *range(2, 2 * n + 1)):
                 top = {}  # the full level of each connected diagram
-                for d in enumerate_diagrams(n, root_partner=rp or None):
+                for d in enumerate_diagrams(n):
                     partner = tuple(q - 1 for q in d.pairing)
-                    if connected(partner):
+                    if (not rp or d.pairing[0] == rp) and connected(partner):
                         top[partner] = graph_level(d, n + 1)
                 for k in (1, 2, 3, n + 1):
                     leaves = {}

@@ -377,3 +377,12 @@ class TestSerialization:
         rows = series_to_csv_rows(f)
         assert rows[0] == (0, "-1", "3")
         assert series_from_csv_rows(rows) == f
+
+    def test_csv_repeated_index_rejected(self):
+        with pytest.raises(ValueError, match="exactly once"):
+            series_from_csv_rows([(0, 1, 1), (0, 2, 1), (1, 5, 1)])
+
+    def test_json_zero_denominator_rejected(self):
+        data = {"order": 0, "coefficients": [{"num": "1", "den": "0"}]}
+        with pytest.raises(ValueError, match="denominator 0"):
+            series_from_json_dict(data)
