@@ -33,7 +33,7 @@ from math import factorial
 from typing import Optional
 
 from . import gf
-from .series import PowerSeries, integer_coefficients, truncated_reciprocal
+from .series import PowerSeries, truncated_reciprocal
 
 ALPHA = Fraction(2)
 BETA_HALF = Fraction(1, 2)
@@ -78,9 +78,9 @@ def zero_image(order: int) -> AsymptoticImage:
 
 
 def exp_with_constant(f: PowerSeries) -> tuple[Fraction, PowerSeries]:
-    """Split exp(f) into (c0, exp(f - c0)); e^(c0) stays symbolic."""
+    """Split exp(f) into (c0, exp(f - c0)), c0 a Fraction; e^(c0) stays symbolic."""
     c0 = f[0]
-    return c0, (f - c0).exp()
+    return Fraction(c0), (f - c0).exp()
 
 
 def _falling_sum(a: list[int], e: list[int], m: int) -> int:
@@ -145,8 +145,8 @@ def _extend_connected_image(
     image's series all reach ``order``. C and C^2/x are read through gf's
     public builders.
     """
-    c = integer_coefficients(gf.series_connected(order + 1))
-    t = integer_coefficients(gf.connected_sq_div_x(order))
+    c = gf.series_connected(order + 1).coefficients
+    t = gf.connected_sq_div_x(order).coefficients
     g = [t[k] + 2 * c[k + 1] for k in range(order + 1)]  # (C^2 + 2C)/x
     if Fraction(-g[0], 2) != -1:
         raise AssertionError("exponent constant must be -1 for the connected family")
@@ -173,11 +173,6 @@ def alien_connected(order: int) -> AsymptoticImage:
     return AsymptoticImage(Fraction(-1), -1, PowerSeries(series[: order + 1]))
 
 
-def _convolution(a: list[int], b: list[int], k: int) -> int:
-    """Coefficient k of the product of a and b."""
-    return sum(a[i] * b[k - i] for i in range(k + 1))
-
-
 def _extend_two_connected_image(
     order: int,
     s_plus_x_sq: list[int],
@@ -196,10 +191,10 @@ def _extend_two_connected_image(
     the reciprocal of (S - 1)/x, and S, read through gf's public builder,
     is the only series the image needs.
     """
-    s = integer_coefficients(gf.series_two_connected_sequences(order + 2))
+    s = gf.series_two_connected_sequences(order + 2).coefficients
     s_plus_x = [v + (k == 1) for k, v in enumerate(s)]
     for k in range(len(s_plus_x_sq), order + 3):
-        s_plus_x_sq.append(_convolution(s_plus_x, s_plus_x, k))
+        s_plus_x_sq.append(gf._pair_sum(s_plus_x, k, 0))  # (S+x)_0 = 1, so from i = 0
     if Fraction(-s_plus_x_sq[1], 2) != -2:
         raise AssertionError("exponent constant must be -2 for the 2-connected family")
     truncated_reciprocal(s[1:], order, inverse)

@@ -211,13 +211,20 @@ def error_table(
     """Estimate-vs-exact rows; ``exact[n]`` must cover every requested n.
 
     The normalized error |exact - estimate| / (2(n-R)-1)!! is the quantity
-    the factorial-divergence definition bounds for each fixed R.
+    the factorial-divergence definition bounds for each fixed R. It needs
+    n > R, which is checked for every pair before anything is estimated.
     """
+    n_values, terms_values = sorted(n_range), sorted(terms_range)
+    if n_values and terms_values and n_values[0] <= terms_values[-1]:
+        raise ValueError(
+            "the normalized error needs n > terms for every row, "
+            f"got n = {n_values[0]} with terms = {terms_values[-1]}"
+        )
     rows = []
-    for n in sorted(n_range):
+    for n in n_values:
         if n >= len(exact):
             raise ValueError(f"exact coefficient for n={n} not supplied")
-        for terms in sorted(terms_range):
+        for terms in terms_values:
             est = estimate(image, n, terms, digits)
             diff = abs(Fraction(exact[n]) - est.value)
             rel = diff / abs(Fraction(exact[n])) if exact[n] else Fraction(0)

@@ -169,10 +169,9 @@ def cmd_estimate(args) -> int:
     else:
         image = alien.alien_two_connected(order)
         exact_series = gf.series_two_connected(max(args.n_to, 2))
-    exact = [int(exact_series[i]) if i <= exact_series.order else 0 for i in range(args.n_to + 1)]
     rows = asymptotics.error_table(
         image,
-        exact,
+        exact_series.coefficients,
         range(args.n_from, args.n_to + 1),
         [args.terms],
         digits=args.digits,

@@ -19,19 +19,18 @@ functional_relation_residual, check_substitution_inverse and
 verify_derivative_identity check the differential equation's output against
 the paper's relation instead of restating it.
 
-All series are exact and computed on int lists, with a PowerSeries built
-only at the end. Each family keeps one list (a ``GrowOnly`` cache), extended
-in place when a larger order is asked for: every coefficient depends only on
-earlier ones, so a smaller order is served as a prefix of the list and a
-larger one computes only the coefficients it adds. PowerSeries values are
-immutable, so results are safe to share.
+All series are exact, computed on int lists and served as int PowerSeries
+with no conversion. Each family keeps one list (a ``GrowOnly`` cache),
+extended in place when a larger order is asked for: every coefficient
+depends only on earlier ones, so a smaller order is served as a prefix of
+the list and a larger one computes only the coefficients it adds.
+PowerSeries values are immutable, so results are safe to share.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from fractions import Fraction
 
 from .series import PowerSeries, truncated_reciprocal
 
@@ -62,7 +61,6 @@ class GrowOnly:
     def cache_clear(self) -> None:
         with self._lock:
             self._lists = tuple(list(seed) for seed in self._seeds)
-            self._fractions: list[Fraction] = []
             self._hits = self._misses = 0
 
     def cache_info(self) -> CacheInfo:
@@ -89,16 +87,9 @@ class GrowOnly:
         return lists
 
     def series(self, order: int) -> PowerSeries:
-        """Entries 0..order of the served int list, as a PowerSeries.
-
-        Each entry becomes a Fraction once, and that Fraction is kept, so
-        serving an order again costs no conversion.
-        """
+        """Entries 0..order of the served int list, as an int PowerSeries."""
         with self._lock:
-            served = self._grown(order)[-1]
-            fractions = self._fractions
-            fractions.extend(map(Fraction, served[len(fractions) : order + 1]))
-            return PowerSeries(fractions[: order + 1])
+            return PowerSeries(self._grown(order)[-1][: order + 1])
 
     def serves(self, builder):
         """Decorator: ``builder`` gets this cache's cache_info and cache_clear."""

@@ -286,9 +286,6 @@ class Reason:
     cut_position: int
     cut_chord: tuple[int, int]
 
-    def __contains__(self, position: int) -> bool:
-        return self.start <= position <= self.end
-
 
 def find_reasons_connectivity1(diagram: ChordDiagram) -> list[Reason]:
     """All interval witnesses for connectivity 1, in (start, end) order.

@@ -3,10 +3,18 @@
 A series is an immutable value: a tuple of coefficients c0..cN together with
 the inclusive truncation order N. Every binary operation truncates its result
 to the smaller order of the two operands, so no coefficient is ever produced
-beyond what both inputs actually determine. Coefficients are
-``fractions.Fraction`` values, which the standard library keeps in canonical
-form (gcd 1, positive denominator); the alias ``Rational`` is exported for
-callers that want to be explicit about the coefficient field.
+beyond what both inputs actually determine.
+
+A coefficient is an ``int`` or a ``fractions.Fraction``, kept as given (a
+string is parsed to a Fraction, a float refused; padding zeros are ints).
+On ints, sums, differences, products, int multiples, composition,
+derivatives, shifts, truncation and the reciprocal of a series with
+constant term +-1 (so also ``/`` by such a series) give ints. Only division
+makes Fractions: ``/`` by a scalar or any other series, ``reverse``, ``log``,
+``exp`` and ``pow_rational`` give Fractions, never floats. A Fraction with
+denominator 1 stays a Fraction. As ``2 == Fraction(2)`` with equal hashes,
+equality and hashing do not depend on the type. ``Rational`` names the
+Fraction type, for callers that want to be explicit about exact rationals.
 """
 
 from __future__ import annotations
@@ -24,11 +32,11 @@ class ReversionError(ValueError):
     """Raised when a reverted series fails its exact composition check."""
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value) -> Coefficient:
+    if type(value) is int or isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
@@ -53,8 +61,8 @@ def truncated_product(a: Sequence, b: Sequence, n: int) -> list:
     lists are convolved, and each output coefficient becomes one
     Fraction(v, da*db): one gcd per coefficient instead of one per term.
     A list of ints is used as it is, so when both inputs are int lists
-    the output is an int list; gf, alien and solve_composition rely on
-    that to keep integer series integer.
+    the output is an int list; PowerSeries multiplication and composition,
+    alien and solve_composition rely on that to keep integer series integer.
     """
     a, da = _cleared(a[: n + 1])
     b, db = _cleared(b[: n + 1])
@@ -81,7 +89,7 @@ def truncated_reciprocal(a: Sequence, n: int, out: list | None = None) -> list:
     if a[0] == 0:
         raise ValueError("no reciprocal: constant term is zero")
     inv0 = Fraction(1) / a[0]
-    if inv0.denominator == 1:
+    if inv0.denominator == 1 and type(a[0]) is int:
         inv0 = inv0.numerator
     if out is None:
         out = []
@@ -94,13 +102,6 @@ def truncated_reciprocal(a: Sequence, n: int, out: list | None = None) -> list:
                 acc += a[k] * out[m - k]
         out.append(-acc * inv0)
     return out
-
-
-def integer_coefficients(f: "PowerSeries") -> list[int]:
-    """The coefficients of f as ints; ValueError unless each one is an integer."""
-    if any(c.denominator != 1 for c in f.coefficients):
-        raise ValueError("series has a non-integer coefficient")
-    return [c.numerator for c in f.coefficients]
 
 
 def solve_composition(f: Sequence, u: Sequence, n: int) -> list:
@@ -136,7 +137,7 @@ class PowerSeries:
             if len(coeffs) > order + 1:
                 coeffs = coeffs[: order + 1]
             else:
-                coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
+                coeffs.extend([0] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = tuple(coeffs)
@@ -168,10 +169,10 @@ class PowerSeries:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[Coefficient, ...]:
         return self._coeffs
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Coefficient:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self._coeffs[n]
@@ -268,6 +269,7 @@ class PowerSeries:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
+            other = Fraction(other)
             return PowerSeries([c / other for c in self._coeffs])
         return NotImplemented
 
@@ -291,7 +293,7 @@ class PowerSeries:
         """Multiply by x^k; the k new leading zeros raise the order by k."""
         if k < 0:
             raise ValueError("k must be nonnegative; use div_x_pow to shift down")
-        return PowerSeries([Fraction(0)] * k + list(self._coeffs))
+        return PowerSeries([0] * k + list(self._coeffs))
 
     def div_x_pow(self, k: int) -> "PowerSeries":
         """Divide by x^k; requires the first k coefficients to vanish exactly."""
@@ -313,20 +315,24 @@ class PowerSeries:
         scale to the int lists t_k = dc*dg^(n-k)*h_k, which satisfy
         t_k = t_(k+1)*g + dg^(n-k)*c_k; the result is t_0/(dc*dg^n), one
         division per coefficient. Since inner = O(x), only the coefficients
-        0..n-k of h_k reach the result, so t_k is kept to that order.
+        0..n-k of h_k reach the result, so t_k is kept to that order. A
+        series of ints has d = 1, and when both are series of ints the
+        result is t_0 itself, with no division.
         """
         if inner[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        c, dc = _cleared(self._coeffs[: n + 1])  # Fraction entries, so dc and dg are ints
+        c, dc = _cleared(self._coeffs[: n + 1])  # dc, dg are None for int lists
         g, dg = _cleared(inner._coeffs[: n + 1])
         t = [c[n]]
         scale = 1  # dg^(n-k)
         for k in range(n - 1, -1, -1):
-            scale *= dg
+            scale *= dg or 1
             t = truncated_product(t, g, n - k)
             t[0] = scale * c[k]  # g[0] = 0, so the product's constant term is 0
-        d = dc * scale
+        if dc is None and dg is None:
+            return PowerSeries(t)
+        d = (dc or 1) * scale
         return PowerSeries([Fraction(v, d) for v in t])
 
     def reciprocal(self) -> "PowerSeries":
@@ -345,7 +351,7 @@ class PowerSeries:
                 "not reversible: need zero constant term and nonzero linear term"
             )
         n = self.order
-        c1 = self._coeffs[1]
+        c1 = Fraction(self._coeffs[1])
         tangent = [c / c1 for c in self._coeffs]
         solved = solve_composition(tangent, [0, 1] + [0] * (n - 1), n)
         g = PowerSeries([h / c1**k for k, h in enumerate(solved)])
@@ -381,7 +387,7 @@ class PowerSeries:
             for k in range(1, m):
                 if out[k] and self._coeffs[m - k]:
                     acc -= k * out[k] * self._coeffs[m - k]
-            out[m] = acc / m
+            out[m] = Fraction(acc, m)
         return PowerSeries(out)
 
     def pow_rational(self, exponent: Coefficient) -> "PowerSeries":

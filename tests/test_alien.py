@@ -33,6 +33,11 @@ TWO_CONNECTED_IMAGE_HEAD = (
 
 
 class TestExpWithConstant:
+    def test_int_constant_comes_back_as_fraction(self):
+        const, series = exp_with_constant(PowerSeries([3, 1]))
+        assert type(const) is Fraction and const == 3
+        assert list(series.coefficients) == [1, 1]
+
     def test_zero(self):
         const, series = exp_with_constant(PowerSeries.zero(4))
         assert const == 0

@@ -188,6 +188,15 @@ class TestErrorTable:
         rows = error_table(image, exact, [25], [1])
         assert rows[0].relative_error < Fraction(1, 10)
 
+    def test_n_not_above_terms_rejected_before_estimating(self):
+        image = alien_two_connected(6)
+        exact = gf.series_two_connected(8).coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "n > terms for every row, got n = 6 with terms = 6"
+            with pytest.raises(ValueError, match=message):
+                error_table(image, exact, [7, 6], [6])
+
     def test_missing_exact_rejected(self):
         image = alien_two_connected(3)
         with pytest.raises(ValueError, match="not supplied"):

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -389,6 +390,21 @@ class TestEstimate:
         )
         assert code == 2
         assert "n-to" in err
+
+    def test_n_from_equal_to_terms(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys,
+                "estimate", "--family", "C2", "--terms", "6",
+                "--n-from", "6", "--n-to", "7",
+            )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: the normalized error needs n > terms for every row, got n = 6 with terms = 6"
+        ]
+        assert not caught
 
     @pytest.mark.parametrize("terms", ["0", "-2"])
     def test_terms_validation(self, capsys, monkeypatch, terms):

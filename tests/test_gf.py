@@ -146,6 +146,12 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unknown family"):
             gf.series_family("X", 6)
 
+    @pytest.mark.parametrize(
+        "builder", [*gf.FAMILIES.values(), gf.connected_sq_div_x], ids=[*gf.FAMILIES, "C^2/x"]
+    )
+    def test_served_as_ints(self, builder):
+        assert all(type(c) is int for c in builder(40).coefficients)
+
 
 class TestDecompositionTable:
     def test_rows_match_reference(self):

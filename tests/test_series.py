@@ -244,6 +244,68 @@ def inner_series(elements):
     ).map(lambda tail: PowerSeries([0, *tail]))
 
 
+class TestIntegerSeries:
+    """Int coefficients stay ints; every division gives Fractions, never floats."""
+
+    f = PowerSeries([1, -2, 3, 0, 5])
+    g = PowerSeries([-1, 4, 0, 7, 2])
+    inner = PowerSeries([0, 1, -3, 2, 6])
+
+    @staticmethod
+    def assert_all(series, kind):
+        assert all(type(c) is kind for c in series.coefficients), series.coefficients
+
+    def test_ring_and_shift_results_are_ints(self):
+        f, g = self.f, self.g
+        for result in (
+            f + g, f - g, f + 2, 3 - f, -f, 3 * f, f * g, f**3,
+            f.compose(self.inner), f.derivative(), f.mul_x_pow(2),
+            self.inner.div_x_pow(1), f.truncate(2), PowerSeries([1], order=4),
+            f.reciprocal(), g.reciprocal(),
+        ):
+            self.assert_all(result, int)
+
+    def test_division_results_are_fractions(self):
+        for result in (
+            PowerSeries([2, 4]) / 4,
+            PowerSeries([2, 4]) / 2,
+            self.f / PowerSeries([2, 1, 0, 3, 1]),
+            PowerSeries([0, 2, 3]).reverse(),
+            self.inner.reverse(),
+            self.f.log(),
+            self.inner.exp(),
+            self.f.pow_rational(Fraction(1, 2)),
+            self.f.pow_rational(2),
+        ):
+            self.assert_all(result, Fraction)
+
+    def test_division_by_a_unit_series_is_a_product(self):
+        self.assert_all(self.f / self.g, int)
+        assert self.f / self.g == self.f * self.g.reciprocal()
+
+    def test_division_values(self):
+        assert (PowerSeries([2, 4]) / 4).coefficients == (Fraction(1, 2), 1)
+        assert PowerSeries([0, 2, 3]).reverse().coefficients == (0, Fraction(1, 2), Fraction(-3, 8))
+
+    def test_compose_with_a_fraction_side_divides(self):
+        half = PowerSeries([0, Fraction(1, 2), 0, 0, 0])
+        assert self.f.compose(half).coefficients == (1, -1, Fraction(3, 4), 0, Fraction(5, 16))
+        self.assert_all(self.f.compose(half), Fraction)
+        fractions = PowerSeries([Fraction(c) for c in self.f.coefficients])
+        self.assert_all(fractions.compose(self.inner), Fraction)
+
+    def test_fraction_series_keep_fractions(self):
+        f = PowerSeries([Fraction(c) for c in self.f.coefficients])
+        self.assert_all(f.reciprocal(), Fraction)
+        assert f.reciprocal() == self.f.reciprocal()
+
+    def test_strings_parse_and_floats_are_refused(self):
+        self.assert_all(PowerSeries(["1", "2/3"]), Fraction)
+        self.assert_all(PowerSeries([True, False]), int)
+        with pytest.raises(TypeError, match="float"):
+            PowerSeries([1, 0.5])
+
+
 class TestProperties:
     @given(
         any_series(st.one_of(integer_coefficients, small_rationals)),
