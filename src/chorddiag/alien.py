@@ -27,7 +27,7 @@ the whole derivation connecting them, step by step, as exact identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import Optional
@@ -40,13 +40,16 @@ BETA_HALF = Fraction(1, 2)
 BETA_THREE_HALVES = Fraction(3, 2)
 
 
-@dataclass(frozen=True)
-class AsymptoticImage:
-    """e^(e_exp) * (2*pi)^(sqrt_two_pi_exp/2) * series(x), all exact."""
+class AsymptoticImage(
+    namedtuple("AsymptoticImage", ["e_exp", "sqrt_two_pi_exp", "series"])
+):
+    """e^(e_exp) * (2*pi)^(sqrt_two_pi_exp/2) * series(x), all exact.
 
-    e_exp: Fraction
-    sqrt_two_pi_exp: int
-    series: PowerSeries
+    ``e_exp`` is a Fraction, ``sqrt_two_pi_exp`` an int and ``series`` a
+    PowerSeries.
+    """
+
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.series.is_zero()
@@ -368,17 +371,20 @@ def image_table_series(order: int) -> dict[str, PowerSeries]:
 # -- full derivation check ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    name: str
-    passed: bool
-    first_mismatch: Optional[int]
+class ChainStep(namedtuple("ChainStep", ["name", "passed", "first_mismatch"])):
+    """One step of the derivation check.
+
+    ``first_mismatch`` is the first coefficient that differs, None when none
+    does.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    order: int
-    steps: tuple[ChainStep, ...]
+class ChainReport(namedtuple("ChainReport", ["order", "steps"])):
+    """The order checked and the ChainSteps of verify_derivation_chain."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

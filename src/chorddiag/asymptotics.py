@@ -19,7 +19,7 @@ its last displayed digit, and each constant is computed once per precision.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt, log10
@@ -38,12 +38,10 @@ def gamma_scale(n: int, k: int) -> int:
     return gf.double_factorial_odd(n - k)
 
 
-@dataclass(frozen=True)
-class HighPrecisionDecimal:
+class HighPrecisionDecimal(namedtuple("HighPrecisionDecimal", ["value", "digits"])):
     """A rational approximant together with the digits it is good to."""
 
-    value: Fraction
-    digits: int
+    __slots__ = ()
 
     def to_decimal_string(self, digits: int | None = None) -> str:
         return format_significant(self.value, self.digits if digits is None else digits)
@@ -191,14 +189,15 @@ def estimate(
     return HighPrecisionDecimal(partial * _transcendental_factor(image, digits), digits)
 
 
-@dataclass(frozen=True)
-class ErrorRow:
-    n: int
-    terms: int
-    estimate: HighPrecisionDecimal
-    exact: int
-    relative_error: Fraction
-    normalized_error: Fraction
+class ErrorRow(
+    namedtuple(
+        "ErrorRow",
+        ["n", "terms", "estimate", "exact", "relative_error", "normalized_error"],
+    )
+):
+    """One row of error_table: the estimate at (n, terms) against the exact count."""
+
+    __slots__ = ()
 
 
 def error_table(
@@ -241,12 +240,12 @@ def error_table(
     return rows
 
 
-@dataclass(frozen=True)
-class ProbabilityCheck:
-    n: int
-    ratio: Fraction
-    model: HighPrecisionDecimal
-    deviation: HighPrecisionDecimal
+class ProbabilityCheck(
+    namedtuple("ProbabilityCheck", ["n", "ratio", "model", "deviation"])
+):
+    """The exact 2-connected share at n against the model e^-2 * (1 - 3/n)."""
+
+    __slots__ = ()
 
     @property
     def scaled_deviation(self) -> Fraction:

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -169,13 +170,17 @@ def cmd_estimate(args) -> int:
     else:
         image = alien.alien_two_connected(order)
         exact_series = gf.series_two_connected(max(args.n_to, 2))
-    rows = asymptotics.error_table(
-        image,
-        exact_series.coefficients,
-        range(args.n_from, args.n_to + 1),
-        [args.terms],
-        digits=args.digits,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = asymptotics.error_table(
+            image,
+            exact_series.coefficients,
+            range(args.n_from, args.n_to + 1),
+            [args.terms],
+            digits=args.digits,
+        )
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "R", "estimate", "exact", "rel_error", "norm_error"])
     with _long_ints():

@@ -89,7 +89,7 @@ class GrowOnly:
     def series(self, order: int) -> PowerSeries:
         """Entries 0..order of the served int list, as an int PowerSeries."""
         with self._lock:
-            return PowerSeries(self._grown(order)[-1][: order + 1])
+            return PowerSeries._of(tuple(self._grown(order)[-1][: order + 1]))
 
     def serves(self, builder):
         """Decorator: ``builder`` gets this cache's cache_info and cache_clear."""

@@ -20,7 +20,7 @@ a cut chord.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import combinations
 from typing import Iterator, Optional
@@ -70,6 +70,16 @@ class ChordDiagram:
             if p[v - 1] != i:
                 raise ValueError(f"pairing is not an involution at position {i}")
         self._pairing = p
+
+    @classmethod
+    def _from_involution(cls, pairing: tuple[int, ...]) -> "ChordDiagram":
+        """A diagram on ``pairing``, which the library built as an involution.
+
+        Skips the checks of ``__init__``, which exist for user input.
+        """
+        diagram = object.__new__(cls)
+        diagram._pairing = pairing
+        return diagram
 
     @property
     def n(self) -> int:
@@ -145,30 +155,33 @@ class IntersectionGraph:
     opened and not yet closed, and a chord crosses exactly the chords that
     were open when it opened and closed before it, plus those opened after
     it and still open when it closes. Both sets are the bits in which
-    ``open_mask`` at its opening and at its closing differ.
+    ``open_mask`` at its opening and at its closing differ. The
+    connectivity tests read only the masks, so ``chords`` is read off the
+    diagram when asked for.
     """
 
-    __slots__ = ("chords", "masks")
+    __slots__ = ("_diagram", "masks")
 
     def __init__(self, diagram: ChordDiagram):
         pairing = diagram.pairing
-        chords = []
         masks = []
         chord_at = [0] * (len(pairing) + 1)  # chord closing at a position
         open_mask = 0
         for i, p in enumerate(pairing, start=1):
             if i < p:
-                c = len(chords)
-                chords.append((i, p))
+                chord_at[p] = c = len(masks)
                 masks.append(open_mask)
-                chord_at[p] = c
                 open_mask |= 1 << c
             else:
                 c = chord_at[i]
                 open_mask ^= 1 << c
                 masks[c] ^= open_mask
-        self.chords = tuple(chords)
+        self._diagram = diagram
         self.masks = tuple(masks)
+
+    @property
+    def chords(self) -> tuple[tuple[int, int], ...]:
+        return self._diagram.chords()
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -231,7 +244,7 @@ def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[Cho
         partner[j] = i
         first_free = partner.index(0, i + 1)
         if first_free > size:
-            yield ChordDiagram(partner[1:-1])
+            yield ChordDiagram._from_involution(tuple(partner[1:-1]))
             partner[i] = partner[j] = 0
         else:
             stack.append((i, j))
@@ -262,9 +275,12 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     graph = IntersectionGraph(diagram)
     if not graph.is_connected():
         return False
-    bits = [1 << c for c in range(n)]
     if k == 2:  # the common case: one removal per chord
-        return all(map(graph._connected_without, bits))
+        for c in range(n):
+            if not graph._connected_without(1 << c):
+                return False
+        return True
+    bits = [1 << c for c in range(n)]
     return all(
         graph._connected_without(sum(removed))
         for r in range(1, min(k - 1, n - 1) + 1)
@@ -272,8 +288,7 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(namedtuple("Reason", ["start", "end", "cut_position", "cut_chord"])):
     """A consecutive endpoint interval witnessing a single-chord cut.
 
     Every endpoint in positions start..end is matched inside the interval
@@ -281,10 +296,7 @@ class Reason:
     it separates the chords inside the interval from the rest.
     """
 
-    start: int
-    end: int
-    cut_position: int
-    cut_chord: tuple[int, int]
+    __slots__ = ()
 
 
 def find_reasons_connectivity1(diagram: ChordDiagram) -> list[Reason]:
@@ -329,34 +341,32 @@ class DecompositionCase(enum.Enum):
     ROOT_COVERED = "root-covered"
 
 
-@dataclass(frozen=True)
-class ReasonRemoval:
+class ReasonRemoval(
+    namedtuple("ReasonRemoval", ["start", "end", "cut_position", "removed_pairs"])
+):
     """One step of the decomposition: the attachment hanging off a cut endpoint.
 
     ``start``/``end`` are the removed interval's bounds in the coordinates of
     the diagram the step was applied to, ``cut_position`` the surviving
-    endpoint of the cut chord, and ``removed_pairs`` the matching among the
-    removed positions. Together these suffice to re-insert the attachment.
+    endpoint of the cut chord, and ``removed_pairs`` (a tuple of sorted
+    pairs) the matching among the removed positions. Together these suffice
+    to re-insert the attachment.
     """
 
-    start: int
-    end: int
-    cut_position: int
-    removed_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", ["case", "core", "removals"])):
     """Reversible split of a connected diagram into a 2-connected core.
 
-    ``removals`` lists the extracted attachments in extraction order; for a
-    root-covered diagram the first removal is the interval containing the
-    root endpoint. ``recompose`` replays them in reverse.
+    ``case`` is a DecompositionCase and ``core`` a ChordDiagram.
+    ``removals`` lists the extracted attachments (ReasonRemovals) in
+    extraction order; for a root-covered diagram the first removal is the
+    interval containing the root endpoint. ``recompose`` replays them in
+    reverse.
     """
 
-    case: DecompositionCase
-    core: ChordDiagram
-    removals: tuple[ReasonRemoval, ...]
+    __slots__ = ()
 
 
 def _remove_interval(diagram: ChordDiagram, removal: ReasonRemoval) -> ChordDiagram:

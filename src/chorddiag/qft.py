@@ -16,31 +16,35 @@ equivalence with the chord-side predicates a genuine cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import gf
 from .oracle import DEFAULT_CAP, ChordDiagram, enumerate_diagrams, is_k_connected
 from .series import PowerSeries, truncated_product
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(namedtuple("Action", ["a", "couplings"])):
     """Quadratic coefficient a > 0 plus the interaction couplings.
 
-    ``couplings`` maps valency k >= 3 to the coupling of the x^k/k! term of
-    the potential; only finitely many may be nonzero.
+    The constructor takes ``couplings`` as a mapping, or as (k, coupling)
+    pairs, from valency k >= 3 to the coupling of the x^k/k! term of the
+    potential; only finitely many may be nonzero. The field ``couplings``
+    holds the nonzero ones as (k, Fraction) pairs in increasing k.
     """
 
-    a: Fraction
-    couplings: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    def __init__(self, a, couplings: Mapping[int, Fraction] | None = None):
-        object.__setattr__(self, "a", Fraction(a))
+    def __new__(
+        cls,
+        a,
+        couplings: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] | None = None,
+    ):
+        a = Fraction(a)
         items = []
-        for k, lam in sorted((couplings or {}).items()):
+        for k, lam in sorted(dict(couplings or {}).items()):
             if k < 3:
                 raise ValueError(
                     f"coupling at valency {k}: the potential starts at x^3"
@@ -48,9 +52,13 @@ class Action:
             lam = Fraction(lam)
             if lam:
                 items.append((int(k), lam))
-        object.__setattr__(self, "couplings", tuple(items))
-        if self.a <= 0:
+        if a <= 0:
             raise ValueError("the quadratic coefficient a must be positive")
+        return super().__new__(cls, a, tuple(items))
+
+    def _replace(self, **changes) -> "Action":
+        """A copy with ``changes``, checked like any new action."""
+        return Action(**{**self._asdict(), **changes})
 
     def potential_coefficients(self, degree: int) -> list[Fraction]:
         """Coefficients of V(x) = sum lam_k x^k / k! up to the given degree."""
@@ -125,27 +133,24 @@ def phi3_coefficient(n: int) -> Fraction:
 # -- graphs ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QedGraph:
+class QedGraph(namedtuple("QedGraph", ["path_length", "photons", "root_position"])):
     """A photon-decorated fermion path with one external photon.
 
     The fermion path runs through ``path_length`` vertices from leg f1 to
     leg f2; ``photons`` are internal photon edges between path vertices, and
     the external photon attaches at ``root_position``. Every vertex carries
-    exactly one photon endpoint.
+    exactly one photon endpoint. The constructor stores each photon as a
+    (u, v) pair with u < v, in increasing order, and checks the graph;
+    ``QedGraph._make`` stores its fields as given, for graphs built in that
+    form already.
     """
 
-    path_length: int
-    photons: tuple[tuple[int, int], ...]
-    root_position: int
+    __slots__ = ()
 
-    def __init__(self, path_length, photons, root_position):
+    def __new__(cls, path_length, photons, root_position):
         photons = tuple(sorted([(u, v) if u < v else (v, u) for u, v in photons]))
         length = int(path_length)
         root = int(root_position)
-        object.__setattr__(self, "path_length", length)
-        object.__setattr__(self, "photons", photons)
-        object.__setattr__(self, "root_position", root)
         if not 1 <= root <= length:
             raise ValueError("the external photon must attach to a path vertex")
         covered = [0] * (length + 1)
@@ -160,6 +165,11 @@ class QedGraph:
             raise ValueError(
                 f"vertices {bad} do not carry exactly one photon endpoint"
             )
+        return super().__new__(cls, length, photons, root)
+
+    def _replace(self, **changes) -> "QedGraph":
+        """A copy with ``changes``, checked like any new graph."""
+        return QedGraph(**{**self._asdict(), **changes})
 
     def internal_edge_count(self) -> int:
         return (self.path_length - 1) + len(self.photons)
@@ -189,18 +199,20 @@ def chord_to_qed(diagram: ChordDiagram) -> QedGraph:
 
     Positions 2..2n become the path vertices in order; the root chord turns
     into the external photon at the vertex of its right endpoint, and every
-    other chord into an internal photon. Inverse of qed_to_chord.
+    other chord into an internal photon. Inverse of qed_to_chord. The
+    photons come out as (left, right) pairs in increasing order, the form
+    the QedGraph constructor normalises to, and a diagram's image is always
+    a valid graph, so the graph is built without the constructor's checks.
     """
     if diagram.n == 0:
         raise ValueError("the empty diagram has no graph image")
     pairing = diagram.pairing
-    root_partner = pairing[0]
     photons = [
         (i - 1, pairing[i - 1] - 1)
         for i in range(2, diagram.size + 1)
         if i < pairing[i - 1]
     ]
-    return QedGraph(diagram.size - 1, photons, root_partner - 1)
+    return QedGraph._make((diagram.size - 1, tuple(photons), pairing[0] - 1))
 
 
 def qed_to_chord(graph: QedGraph) -> ChordDiagram:
@@ -244,13 +256,13 @@ def loop_number_cycle_rank(graph: QedGraph) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class Subdivergence:
-    """A divergent proper subgraph on a fermion-path interval."""
+class Subdivergence(namedtuple("Subdivergence", ["start", "end", "kind"])):
+    """A divergent proper subgraph on a fermion-path interval.
 
-    start: int
-    end: int
-    kind: str  # "propagator" or "vertex"
+    ``kind`` is "propagator" or "vertex".
+    """
+
+    __slots__ = ()
 
 
 def _interval_bridgeless(photons, start: int, end: int) -> bool:
@@ -327,11 +339,12 @@ def is_primitive(graph: QedGraph) -> bool:
     return next(_subdivergences(graph), None) is None
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    n: int
-    primitive_count: int
-    counterexamples: tuple[str, ...]
+class BijectionReport(
+    namedtuple("BijectionReport", ["n", "primitive_count", "counterexamples"])
+):
+    """Outcome of verify_bijection: the primitive count and the offending diagrams."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -142,6 +142,17 @@ class PowerSeries:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = tuple(coeffs)
 
+    @classmethod
+    def _of(cls, coefficients: tuple[Coefficient, ...]) -> "PowerSeries":
+        """The series with ``coefficients``, a non-empty tuple of ints and Fractions.
+
+        Skips the coercion of ``__init__``, for coefficients the library
+        built itself.
+        """
+        f = object.__new__(cls)
+        f._coeffs = coefficients
+        return f
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod

@@ -1,11 +1,13 @@
 """Command line surface: output formats, exit codes, cap handling."""
 
 import argparse
-import dataclasses
 import json
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from chorddiag import gf, oracle
 from chorddiag.cli import _emit_series, build_parser, main
 from chorddiag.series import PowerSeries, series_from_json_dict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -300,7 +304,7 @@ class TestVerify:
 
         def shifted(order):
             image = original(order)
-            return dataclasses.replace(image, e_exp=image.e_exp + 1)
+            return image._replace(e_exp=image.e_exp + 1)
 
         monkeypatch.setattr(alien, "alien_two_connected", shifted)
         code, out, _ = run(capsys, "verify", "--suite", "chain-rule", "--order", "8")
@@ -405,6 +409,27 @@ class TestEstimate:
             "error: the normalized error needs n > terms for every row, got n = 6 with terms = 6"
         ]
         assert not caught
+
+    def test_unreliable_point_prints_one_warning_line(self):
+        # a fresh process, so that a raw UserWarning would reach stderr
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "chorddiag.cli", "estimate", "--family", "C2",
+                "--terms", "6", "--n-from", "7", "--n-to", "7",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [
+            "n,R,estimate,exact,rel_error,norm_error",
+            "7,6,1168.94497542791846496523123788,10113,0.884412,8944.06",
+        ]
+        assert result.stderr.splitlines() == [
+            "warning: asymptotic estimate with n - terms = 1 < 5 is unreliable"
+        ]
+        assert "UserWarning" not in result.stderr and ".py:" not in result.stderr
 
     @pytest.mark.parametrize("terms", ["0", "-2"])
     def test_terms_validation(self, capsys, monkeypatch, terms):

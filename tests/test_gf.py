@@ -238,6 +238,25 @@ class TestGrowOnly:
             clear_all_caches()
             assert result == BUILDERS[name][0](order), (name, order)
 
+    def test_served_series_are_the_cached_ints(self):
+        caches = {
+            gf.series_all_diagrams: gf._all_diagrams,
+            gf.series_connected: gf._connected,
+            gf.connected_sq_div_x: gf._connected_sq_div_x,
+            gf.series_two_connected: gf._two_connected,
+            gf.series_two_connected_sequences: gf._sequences,
+        }
+        for build, cache in caches.items():
+            served = build(30)
+            cached = cache.grow(30)[-1]
+            assert served.coefficients == tuple(cached[:31]), build.__name__
+            assert all(type(c) is int for c in served.coefficients), build.__name__
+            assert served == PowerSeries(cached[:31])
+            build(40)  # growing the cache leaves a served series as it was
+            assert served.order == 30
+        with pytest.raises(TypeError, match="float"):
+            PowerSeries([1.0])
+
     def test_two_connected_seam(self):
         gf.series_two_connected.cache_clear()
         gf.series_two_connected(10)
