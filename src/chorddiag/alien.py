@@ -13,8 +13,9 @@ than a coercion.
 The closed-form images of the connected and 2-connected series run on
 integer lists: their series parts are integer series times exp(-g/2) for an
 integer series g, and n! * 2^n times the n-th coefficient of such an
-exponential is an integer (see _extend_scaled_exp), so the only division is
-the last one, by n! * 2^n. The connected image reads C and C^2/x; the
+exponential is an integer (see series._extend_scaled_exp, the one exponential
+kernel, which PowerSeries.exp runs too), so the only division is the last
+one, by n! * 2^n. The connected image reads C and C^2/x; the
 2-connected one reads S alone, since S = 1/(1 - C2/x) gives C2*S = x(S - 1).
 Each image keeps its integer rows in one ``gf.GrowOnly`` cache, so a larger
 order extends them.
@@ -23,6 +24,9 @@ The alien derivative obeys a product rule, and for inner series tangent to
 the identity a chain rule and an inversion rule; those three rules, plus the
 closed forms for the connected and 2-connected images, are enough to verify
 the whole derivation connecting them, step by step, as exact identities.
+The chain and inversion rules' transport factor (x/g)^beta * e^((g-x)/(2xg))
+is one exponential, of (g-x)/(2xg) - beta*log(g/x), with log the integral
+of f'/f. The scale a = 2 is ALPHA, fixed for the whole module.
 """
 
 from __future__ import annotations
@@ -33,7 +37,12 @@ from math import factorial
 from typing import Optional
 
 from . import gf
-from .series import PowerSeries, truncated_reciprocal
+from .series import (
+    PowerSeries,
+    _extend_scaled_exp,
+    _extend_scaled_product,
+    truncated_reciprocal,
+)
 
 ALPHA = Fraction(2)
 BETA_HALF = Fraction(1, 2)
@@ -76,71 +85,14 @@ def image_add(a: AsymptoticImage, b: AsymptoticImage) -> AsymptoticImage:
     return AsymptoticImage(a.e_exp, a.sqrt_two_pi_exp, a.series + b.series)
 
 
-def zero_image(order: int) -> AsymptoticImage:
-    return AsymptoticImage(Fraction(0), 0, PowerSeries.zero(order))
-
-
 def exp_with_constant(f: PowerSeries) -> tuple[Fraction, PowerSeries]:
     """Split exp(f) into (c0, exp(f - c0)), c0 a Fraction; e^(c0) stays symbolic."""
     c0 = f[0]
     return Fraction(c0), (f - c0).exp()
 
 
-def _falling_sum(a: list[int], e: list[int], m: int) -> int:
-    """The sum of a_i * m!/(m-i)! * e_{m-i} over i = 0..m.
-
-    In Horner form, a_0*e_m + m*(a_1*e_{m-1} + (m-1)*(a_2*e_{m-2} + ...)),
-    each term costs one big-integer product and one by a small factor.
-    """
-    total = 0
-    for i in range(min(m, len(a) - 1), -1, -1):
-        total = total * (m - i) + a[i] * e[m - i]
-    return total
-
-
-def _extend_scaled_exp(
-    g: list[int], w: int, n: int, weights: list[int], e: list[int]
-) -> None:
-    """Extend e_m = w^m * m! * [x^m] exp((g - g_0)/w) to m = n, for integers g.
-
-    g_0 is left out: in the images it is the rational constant that stays
-    symbolic as the prefactor's e-exponent. f = exp((g - g_0)/w) solves
-    f' = g'f/w, that is m*f_m = sum k*g_k*f_{m-k}/w; with f_m = e_m/(w^m m!)
-    this reads
-    e_m = sum_k k*g_k*w^(k-1) * (m-1)!/(m-k)! * e_{m-k},
-    a sum of integer products, since (m-1)!/(m-k)! is a falling factorial.
-    So every e_m is an integer, and the only division left is the one by
-    w^m m! in _extend_scaled_product. ``weights`` holds the k*g_k*w^(k-1)
-    for k = 1..len(weights), and e starts as [1].
-    """
-    for k in range(len(weights), n):
-        weights.append((k + 1) * g[k + 1] * w**k)
-    for m in range(len(e), n + 1):
-        e.append(_falling_sum(weights, e, m - 1))
-
-
-def _extend_scaled_product(
-    p: list[int], e: list[int], w: int, n: int, weights: list[int], out: list[Fraction]
-) -> None:
-    """Extend p(x) * exp(g/w) to order n, from the scaled exponential e of g.
-
-    Coefficient m is sum_i p_i * e_{m-i}/(w^(m-i) (m-i)!), which over the
-    common denominator w^m m! has the integer numerator
-    sum_i p_i * w^i * m!/(m-i)! * e_{m-i}. ``weights`` holds the p_i * w^i.
-    """
-    for i in range(len(weights), n + 1):
-        weights.append(p[i] * w**i)
-    for m in range(len(out), n + 1):
-        out.append(Fraction(_falling_sum(weights, e, m), w**m * factorial(m)))
-
-
 def _extend_connected_image(
-    order: int,
-    exp_weights: list[int],
-    e: list[int],
-    x_over_c: list[int],
-    weights: list[int],
-    series: list[Fraction],
+    order: int, e: list[int], x_over_c: list[int], series: list[Fraction]
 ) -> None:
     """The integer rows of the connected closed form, grown to ``order``.
 
@@ -153,12 +105,12 @@ def _extend_connected_image(
     g = [t[k] + 2 * c[k + 1] for k in range(order + 1)]  # (C^2 + 2C)/x
     if Fraction(-g[0], 2) != -1:
         raise AssertionError("exponent constant must be -1 for the connected family")
-    _extend_scaled_exp([-v for v in g], 2, order, exp_weights, e)
+    _extend_scaled_exp([-v for v in g], 2, order, e)
     truncated_reciprocal(c[1:], order, x_over_c)
-    _extend_scaled_product(x_over_c, e, 2, order, weights, series)
+    _extend_scaled_product(x_over_c, e, 2, order, series)
 
 
-_connected_image = gf.GrowOnly(_extend_connected_image, [], [1], [], [], [])
+_connected_image = gf.GrowOnly(_extend_connected_image, [1], [], [])
 
 
 @_connected_image.serves
@@ -180,9 +132,7 @@ def _extend_two_connected_image(
     order: int,
     s_plus_x_sq: list[int],
     inverse: list[int],
-    exp_weights: list[int],
     e: list[int],
-    weights: list[int],
     series: list[Fraction],
 ) -> None:
     """The integer rows of the 2-connected closed form, grown to ``order``.
@@ -201,11 +151,11 @@ def _extend_two_connected_image(
     if Fraction(-s_plus_x_sq[1], 2) != -2:
         raise AssertionError("exponent constant must be -2 for the 2-connected family")
     truncated_reciprocal(s[1:], order, inverse)
-    _extend_scaled_exp([-v for v in s_plus_x_sq[1:]], 2, order + 1, exp_weights, e)
-    _extend_scaled_product(inverse, e, 2, order, weights, series)
+    _extend_scaled_exp([-v for v in s_plus_x_sq[1:]], 2, order + 1, e)
+    _extend_scaled_product(inverse, e, 2, order, series)
 
 
-_two_connected_image = gf.GrowOnly(_extend_two_connected_image, [], [], [], [1], [], [])
+_two_connected_image = gf.GrowOnly(_extend_two_connected_image, [], [], [1], [])
 
 
 @_two_connected_image.serves
@@ -247,20 +197,17 @@ def _require_tangent_to_identity(g: PowerSeries) -> None:
         )
 
 
-def _exp_transport_factor(
-    g: PowerSeries, alpha: Fraction, beta: Fraction
-) -> tuple[Fraction, PowerSeries]:
-    """(x/g)^beta * exp((g - x)/(alpha*x*g)) with its rational e-exponent.
+def _exp_transport_factor(g: PowerSeries, beta: Fraction) -> tuple[Fraction, PowerSeries]:
+    """(x/g)^beta * exp((g - x)/(ALPHA*x*g)) with its rational e-exponent.
 
-    (g - x)/(alpha*x*g) has rational constant term g_2/alpha, which is
-    returned separately so the series part stays exact.
+    It is the one exponential exp(w - beta*log(g/x)), w = (g - x)/(ALPHA*x*g).
+    log(g/x) has constant term 0, so the exponent's rational constant term
+    is w's, g_2/ALPHA, which is returned separately so the series part stays
+    exact.
     """
     g_over_x = g.div_x_pow(1)
-    x_over_g = g_over_x.reciprocal()
-    power = x_over_g.pow_rational(beta)
-    w = (g - PowerSeries.x(g.order)).div_x_pow(2) / (alpha * g_over_x)
-    const, remainder = exp_with_constant(w)
-    return const, power.truncate(remainder.order) * remainder
+    w = (g - PowerSeries.x(g.order)).div_x_pow(2) / (ALPHA * g_over_x)
+    return exp_with_constant(w - g_over_x.log() * beta)
 
 
 def alien_compose(
@@ -268,13 +215,12 @@ def alien_compose(
     f_image: AsymptoticImage,
     g: PowerSeries,
     g_image: AsymptoticImage,
-    alpha: Fraction = ALPHA,
     beta: Fraction = BETA_HALF,
 ) -> AsymptoticImage:
     """Chain rule for the image of f(g(x)), g tangent to the identity.
 
     image(f o g) = f'(g) * image(g)
-                 + (x/g)^beta * exp((g-x)/(alpha*x*g)) * image(f)(g).
+                 + (x/g)^beta * exp((g-x)/(ALPHA*x*g)) * image(f)(g).
 
     The derivative and the x^2-division each cost one order of truncation;
     callers wanting order N should provision inputs at N+3.
@@ -285,7 +231,7 @@ def alien_compose(
         g_image.sqrt_two_pi_exp,
         f.derivative().compose(g) * g_image.series,
     )
-    const, transport = _exp_transport_factor(g, alpha, beta)
+    const, transport = _exp_transport_factor(g, beta)
     composed = f_image.series.compose(g)
     term2 = AsymptoticImage(
         f_image.e_exp + const,
@@ -298,17 +244,16 @@ def alien_compose(
 def alien_inverse(
     g: PowerSeries,
     g_image: AsymptoticImage,
-    alpha: Fraction = ALPHA,
     beta: Fraction = BETA_HALF,
 ) -> AsymptoticImage:
     """Inversion rule: the image of the compositional inverse of g.
 
-    image(g^-1) = -(g^-1)' * (x/g^-1)^beta * exp((g^-1 - x)/(alpha*x*g^-1))
+    image(g^-1) = -(g^-1)' * (x/g^-1)^beta * exp((g^-1 - x)/(ALPHA*x*g^-1))
                   * image(g)(g^-1).
     """
     _require_tangent_to_identity(g)
     ginv = g.reverse()
-    const, transport = _exp_transport_factor(ginv, alpha, beta)
+    const, transport = _exp_transport_factor(ginv, beta)
     series = -(ginv.derivative() * transport * g_image.series.compose(ginv))
     return AsymptoticImage(
         g_image.e_exp + const, g_image.sqrt_two_pi_exp, series
@@ -352,7 +297,7 @@ def image_table_series(order: int) -> dict[str, PowerSeries]:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    s_plus_x_sq, inverse, _, e, _, _ = _two_connected_image.grow(order)
+    s_plus_x_sq, inverse, e, _ = _two_connected_image.grow(order)
     s = gf.series_two_connected_sequences(order + 2)
     return {
         "S": s,
@@ -433,16 +378,14 @@ def verify_derivation_chain(order: int) -> ChainReport:
 
     # (a) chain rule across the functional relation. Its two terms carry the
     # prefactor of image(t), which is that of image(C), and that of image(C2)
-    # times the transport factor's e^(t_2/alpha); image_add rejects unlike
+    # times the transport factor's e^(t_2/ALPHA); image_add rejects unlike
     # prefactors, so they are compared before composing.
     if (a_c.e_exp, a_c.sqrt_two_pi_exp) == (
         a_c2.e_exp + t[2] / ALPHA,
         a_c2.sqrt_two_pi_exp,
     ):
         image_t = alien_product(c, a_c, c, a_c)  # image of C^2, equals image of t shifted
-        rhs = alien_compose(
-            c2, shift_up(a_c2, 1), t, image_t, ALPHA, BETA_THREE_HALVES
-        )
+        rhs = alien_compose(c2, shift_up(a_c2, 1), t, image_t, BETA_THREE_HALVES)
         lhs = (2 * c - PowerSeries.x(c.order)) * a_c.series  # prefactor of a_c
         step_a = _step("chain-rule-expansion", lhs, rhs.series, order)
     else:

@@ -223,10 +223,12 @@ def cmd_qft(args) -> int:
     if args.model == "phi3" and not args.coupling:
         action = qft.PHI3
     else:
-        couplings = dict(
-            _parse(_coupling, item, f"coupling {item!r}: expected K=RATIONAL")
-            for item in args.coupling
-        )
+        couplings = {}
+        for item in args.coupling:
+            k, lam = _parse(_coupling, item, f"coupling {item!r}: expected K=RATIONAL")
+            if k in couplings:
+                raise UsageError(f"--coupling given twice for valency {k}")
+            couplings[k] = lam
         if not couplings:
             raise UsageError("custom actions need at least one --coupling K=RATIONAL")
         a = _parse(

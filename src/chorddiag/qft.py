@@ -235,27 +235,6 @@ def loop_number(graph: QedGraph) -> int:
     return graph.internal_edge_count() - graph.path_length + 1
 
 
-def loop_number_cycle_rank(graph: QedGraph) -> int:
-    """Cycle-space rank via spanning-tree growth; oracle for loop_number."""
-    parent = list(range(graph.path_length + 1))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    edges = [(i, i + 1) for i in range(1, graph.path_length)] + list(graph.photons)
-    rank = 0
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            rank += 1
-        else:
-            parent[ru] = rv
-    return rank
-
-
 class Subdivergence(namedtuple("Subdivergence", ["start", "end", "kind"])):
     """A divergent proper subgraph on a fermion-path interval.
 

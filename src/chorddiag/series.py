@@ -15,12 +15,18 @@ makes Fractions: ``/`` by a scalar or any other series, ``reverse``, ``log``,
 denominator 1 stays a Fraction. As ``2 == Fraction(2)`` with equal hashes,
 equality and hashing do not depend on the type. ``Rational`` names the
 Fraction type, for callers that want to be explicit about exact rationals.
+
+The exponential is computed in one place, ``_extend_scaled_exp``: an integer
+recurrence for w^m * m! times the coefficients of exp(g/w), g an int list.
+``exp`` clears its denominators to reach that form, and the alien images run
+on it directly. ``log`` is the integral of f'/f, and ``pow_rational`` is
+exp(q * log f).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -122,6 +128,49 @@ def solve_composition(f: Sequence, u: Sequence, n: int) -> list:
             rest[i] -= h[k] * power[i]
         power = truncated_product(power, f, n)
     return h
+
+
+def _falling_sum(a: Sequence[int], e: Sequence[int], m: int) -> int:
+    """The sum of a_i * m!/(m-i)! * e_{m-i} over i = 0..m.
+
+    In Horner form, a_0*e_m + m*(a_1*e_{m-1} + (m-1)*(a_2*e_{m-2} + ...)),
+    each term costs one big-integer product and one by a small factor.
+    """
+    total = 0
+    for i in range(min(m, len(a) - 1), -1, -1):
+        total = total * (m - i) + a[i] * e[m - i]
+    return total
+
+
+def _extend_scaled_exp(g: Sequence[int], w: int, n: int, e: list[int]) -> None:
+    """Extend e_m = w^m * m! * [x^m] exp((g - g_0)/w) to m = n, for integers g.
+
+    g_0 is left out: exp needs it to be 0, and in the alien images it is the
+    rational constant that stays symbolic as the prefactor's e-exponent.
+    f = exp((g - g_0)/w) solves f' = g'f/w, that is
+    m*f_m = sum k*g_k*f_{m-k}/w; with f_m = e_m/(w^m m!) this reads
+    e_m = sum_k k*g_k*w^(k-1) * (m-1)!/(m-k)! * e_{m-k},
+    a sum of integer products, since (m-1)!/(m-k)! is a falling factorial.
+    So every e_m is an integer, and the only division left is the one by
+    w^m m!. g must reach order n, and e starts as [1].
+    """
+    weights = [(k + 1) * g[k + 1] * w**k for k in range(n)]  # k*g_k*w^(k-1), k >= 1
+    for m in range(len(e), n + 1):
+        e.append(_falling_sum(weights, e, m - 1))
+
+
+def _extend_scaled_product(
+    p: Sequence[int], e: Sequence[int], w: int, n: int, out: list
+) -> None:
+    """Extend p(x) * exp(g/w) to order n, from the scaled exponential e of g.
+
+    Coefficient m is sum_i p_i * e_{m-i}/(w^(m-i) (m-i)!), which over the
+    common denominator w^m m! has the integer numerator
+    sum_i p_i * w^i * m!/(m-i)! * e_{m-i}: one Fraction per coefficient.
+    """
+    weights = [c * w**i for i, c in enumerate(p[: n + 1])]
+    for m in range(len(out), n + 1):
+        out.append(Fraction(_falling_sum(weights, e, m), w**m * factorial(m)))
 
 
 class PowerSeries:
@@ -373,33 +422,31 @@ class PowerSeries:
     # -- analytic combinators ---------------------------------------------------
 
     def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term."""
+        """exp of a series with zero constant term.
+
+        With self = g/d for an int list g, coefficient m is e_m/(d^m m!),
+        e the scaled exponential of g with weight d (_extend_scaled_exp).
+        """
         if self._coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                ck = self._coeffs[k]
-                if ck:
-                    acc += k * ck * out[m - k]
-            out[m] = acc / m
-        return PowerSeries(out)
+        g, d = _cleared(self._coeffs)
+        w = d or 1
+        e = [1]
+        _extend_scaled_exp(g, w, self.order, e)
+        return PowerSeries._of(
+            tuple(Fraction(v, w**m * factorial(m)) for m, v in enumerate(e))
+        )
 
     def log(self) -> "PowerSeries":
-        """log of a series with constant term 1."""
+        """log of a series with constant term 1: the integral of f'/f."""
         if self._coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            acc = m * self._coeffs[m]
-            for k in range(1, m):
-                if out[k] and self._coeffs[m - k]:
-                    acc -= k * out[k] * self._coeffs[m - k]
-            out[m] = Fraction(acc, m)
-        return PowerSeries(out)
+        if self.order == 0:  # f' does not exist at order 0
+            return PowerSeries._of((Fraction(0),))
+        quotient = (self.derivative() * self.reciprocal()).coefficients
+        return PowerSeries._of(
+            (Fraction(0), *(Fraction(v, m + 1) for m, v in enumerate(quotient)))
+        )
 
     def pow_rational(self, exponent: Coefficient) -> "PowerSeries":
         """f^q for rational q, restricted to series with constant term 1.
@@ -439,10 +486,16 @@ def _serialized_fraction(num, den) -> Fraction:
 
 
 def series_from_json_dict(data: dict) -> PowerSeries:
-    order = int(data["order"])
-    coeffs = [
-        _serialized_fraction(item["num"], item["den"]) for item in data["coefficients"]
-    ]
+    """The series of a series_to_json_dict record; ValueError for a malformed one."""
+    try:
+        order = int(data["order"])
+        coeffs = [
+            _serialized_fraction(item["num"], item["den"]) for item in data["coefficients"]
+        ]
+    except KeyError as exc:
+        raise ValueError(f"a serialized series needs the field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed serialized series: {exc}") from None
     if len(coeffs) != order + 1:
         raise ValueError("coefficient list length does not match order+1")
     return PowerSeries(coeffs)

@@ -495,6 +495,13 @@ class TestQft:
         assert code == 2
         assert "coupling" in err
 
+    def test_repeated_coupling_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "qft", "--coupling", "3=1", "--coupling", "3=2", "--order", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --coupling given twice for valency 3"]
+
     def test_bad_quadratic(self, capsys):
         code, _, err = run(capsys, "qft", "--quadratic", "1/0", "--coupling", "3=1")
         assert code == 2

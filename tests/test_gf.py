@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chorddiag import alien, gf, oracle
+from chorddiag import alien, gf, oracle, series
 from chorddiag.alien import AsymptoticImage
 from chorddiag.series import PowerSeries, solve_composition
 
@@ -267,12 +267,12 @@ class TestGrowOnly:
 
     def test_growing_computes_only_the_new_coefficients(self, monkeypatch):
         pair_sums, falling_sums = [], []
-        pair_sum, falling_sum = gf._pair_sum, alien._falling_sum
+        pair_sum, falling_sum = gf._pair_sum, series._falling_sum
         monkeypatch.setattr(
             gf, "_pair_sum", lambda y, k, low=1: pair_sums.append(k) or pair_sum(y, k, low)
         )
         monkeypatch.setattr(
-            alien, "_falling_sum", lambda a, e, m: falling_sums.append(m) or falling_sum(a, e, m)
+            series, "_falling_sum", lambda a, e, m: falling_sums.append(m) or falling_sum(a, e, m)
         )
         clear_all_caches()
         for build in (gf.series_connected, gf.series_two_connected):

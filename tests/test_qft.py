@@ -24,12 +24,33 @@ from chorddiag.qft import (
     is_one_particle_irreducible,
     is_primitive,
     loop_number,
-    loop_number_cycle_rank,
     partition_function,
     phi3_coefficient,
     qed_to_chord,
     verify_bijection,
 )
+
+
+def loop_number_cycle_rank(graph: QedGraph) -> int:
+    """Cycle-space rank via spanning-tree growth: a second route to loop_number."""
+    parent = list(range(graph.path_length + 1))
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    edges = [(i, i + 1) for i in range(1, graph.path_length)] + list(graph.photons)
+    rank = 0
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            rank += 1
+        else:
+            parent[ru] = rv
+    return rank
+
 
 CROSSING = ChordDiagram([3, 4, 1, 2])
 NESTED = ChordDiagram([4, 3, 2, 1])

@@ -191,6 +191,11 @@ class TestAnalytic:
         root = f.pow_rational(Fraction(1, 2))
         assert root * root == f
 
+    def test_order_zero(self):
+        assert typed(PowerSeries([0]).exp()) == [(Fraction, 1)]
+        assert typed(PowerSeries([1]).log()) == [(Fraction, 0)]
+        assert typed(PowerSeries([1]).pow_rational(Fraction(1, 2))) == [(Fraction, 1)]
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             PowerSeries([0, 1]).reciprocal()
@@ -242,6 +247,35 @@ def inner_series(elements):
     return st.integers(min_value=1, max_value=12).flatmap(
         lambda n: st.lists(elements, min_size=n, max_size=n)
     ).map(lambda tail: PowerSeries([0, *tail]))
+
+
+def reference_exp(f: PowerSeries) -> PowerSeries:
+    """exp by the termwise recurrence m*E_m = sum k*f_k*E_(m-k), on Fractions."""
+    n = f.order
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            acc += k * f[k] * out[m - k]
+        out[m] = acc / m
+    return PowerSeries(out)
+
+
+def reference_log(f: PowerSeries) -> PowerSeries:
+    """log by the termwise recurrence m*L_m = m*f_m - sum k*L_k*f_(m-k), on Fractions."""
+    n = f.order
+    out = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        acc = m * f[m]
+        for k in range(1, m):
+            acc -= k * out[k] * f[m - k]
+        out[m] = Fraction(acc, m)
+    return PowerSeries(out)
+
+
+def typed(f: PowerSeries) -> list:
+    """The coefficients with their types, so that 2 and Fraction(2) differ."""
+    return [(type(c), c) for c in f.coefficients]
 
 
 class TestIntegerSeries:
@@ -317,6 +351,21 @@ class TestProperties:
         assert got.order == min(f.order, inner.order)
         assert got.coefficients == reference_compose(f, inner).coefficients
 
+    @given(
+        st.one_of(any_series(integer_coefficients), any_series(small_rationals)),
+        st.one_of(integer_coefficients, small_rationals),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exp_log_pow_match_the_termwise_recurrences(self, f, q):
+        tail, unit = f - f[0], f - f[0] + 1
+        assert typed(tail.exp()) == typed(reference_exp(tail))
+        assert typed(unit.log()) == typed(reference_log(unit))
+        assert typed(unit.pow_rational(q)) == typed(reference_exp(reference_log(unit) * q))
+
+    @given(st.one_of(inner_series(integer_coefficients), inner_series(small_rationals)))
+    @settings(max_examples=40, deadline=None)
+    def test_log_exp_round_trip(self, g):
+        assert g.exp().log() == g
 
     @given(series_strategy(6), series_strategy(6), series_strategy(6))
     @settings(max_examples=60, deadline=None)
@@ -443,6 +492,23 @@ class TestSerialization:
     def test_csv_repeated_index_rejected(self):
         with pytest.raises(ValueError, match="exactly once"):
             series_from_csv_rows([(0, 1, 1), (0, 2, 1), (1, 5, 1)])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"coefficients": [{"num": "1", "den": "1"}]},
+            {"order": 0},
+            {"order": 0, "coefficients": [{"den": "1"}]},
+            {"order": 0, "coefficients": [{"num": "1"}]},
+            {"order": 0, "coefficients": ["1"]},
+            {"order": 0, "coefficients": [1]},
+            {"order": None, "coefficients": [{"num": "1", "den": "1"}]},
+            ["order", "coefficients"],
+        ],
+    )
+    def test_json_malformed_record_is_a_value_error(self, data):
+        with pytest.raises(ValueError, match="serialized series"):
+            series_from_json_dict(data)
 
     def test_json_zero_denominator_rejected(self):
         data = {"order": 0, "coefficients": [{"num": "1", "den": "0"}]}
