@@ -11,12 +11,14 @@ occur in the identities verified here, so a mismatch is an error rather
 than a coercion.
 
 The closed-form images of the connected and 2-connected series run on
-integer lists: their series parts are integer series times exp(-g/2) for an
-integer series g, and n! * 2^n times the n-th coefficient of such an
-exponential is an integer (see series._extend_scaled_exp, the one exponential
-kernel, which PowerSeries.exp runs too), so the only division is the last
-one, by n! * 2^n. The connected image reads C and C^2/x; the
-2-connected one reads S alone, since S = 1/(1 - C2/x) gives C2*S = x(S - 1).
+integer lists. Each series part f, with f_0 = 1, solves 2f' = rho * f for
+an integer series rho, read off the family's differential equation:
+x^2/C^2 = 1 - 2x + x^2 * rho for the connected image and
+x^4/C2^2 = (1 - x)^2 + x^2 * rho for the 2-connected one. So f is one
+scaled exponential, and n! * 2^n times its n-th coefficient is an integer
+(see series._extend_scaled_exp, the one exponential kernel, which
+PowerSeries.exp runs too); the only division is the last one, by n! * 2^n.
+The connected image reads C^2/x alone and the 2-connected one C2 alone.
 Each image keeps its integer rows in one ``gf.GrowOnly`` cache, so a larger
 order extends them.
 
@@ -40,7 +42,6 @@ from . import gf
 from .series import (
     PowerSeries,
     _extend_scaled_exp,
-    _extend_scaled_product,
     truncated_reciprocal,
 )
 
@@ -92,25 +93,24 @@ def exp_with_constant(f: PowerSeries) -> tuple[Fraction, PowerSeries]:
 
 
 def _extend_connected_image(
-    order: int, e: list[int], x_over_c: list[int], series: list[Fraction]
+    order: int, inverse: list[int], e: list[int], series: list[Fraction]
 ) -> None:
     """The integer rows of the connected closed form, grown to ``order``.
 
-    e, the scaled exponential (weight 2) of -(C^2 + 2C)/x, x/C and the
-    image's series all reach ``order``. C and C^2/x are read through gf's
-    public builders.
+    x^2/C^2, the reciprocal of (C^2/x)/x, reaches order + 1; it is
+    1 - 2x + x^2 * rho, and the image's series part f solves 2f'/f = rho,
+    so e is the scaled exponential (weight 2) of rho. C^2/x is read through
+    gf's public builder.
     """
-    c = gf.series_connected(order + 1).coefficients
-    t = gf.connected_sq_div_x(order).coefficients
-    g = [t[k] + 2 * c[k + 1] for k in range(order + 1)]  # (C^2 + 2C)/x
-    if Fraction(-g[0], 2) != -1:
-        raise AssertionError("exponent constant must be -1 for the connected family")
-    _extend_scaled_exp([-v for v in g], 2, order, e)
-    truncated_reciprocal(c[1:], order, x_over_c)
-    _extend_scaled_product(x_over_c, e, 2, order, series)
+    t = gf.connected_sq_div_x(order + 2).coefficients
+    truncated_reciprocal(t[1:], order + 1, inverse)
+    if inverse[:2] != [1, -2]:
+        raise AssertionError("x^2/C^2 must start 1 - 2x for the connected family")
+    _extend_scaled_exp(inverse[2:], 2, order, e)
+    series.extend(Fraction(e[m], 2**m * factorial(m)) for m in range(len(series), order + 1))
 
 
-_connected_image = gf.GrowOnly(_extend_connected_image, [1], [], [])
+_connected_image = gf.GrowOnly(_extend_connected_image, [], [1], [])
 
 
 @_connected_image.serves
@@ -118,9 +118,10 @@ def alien_connected(order: int) -> AsymptoticImage:
     """Image of the connected series: e^-1/sqrt(2pi) * (x/C) * exp-remainder.
 
     The closed form is (x/C) * e^(-(C^2+2C)/(2x)); the exponent has rational
-    constant term 1, which factors out as the e^-1. x/C is an integer
-    series (C/x has constant term 1), and g = (C^2+2C)/x is one too, so the
-    product runs on the scaled exponential of g with weight 2.
+    constant term 1, which factors out as the e^-1. What remains, f, has
+    f_0 = 1 and, by 2xCC' = C(1+C) - x, the integer log-derivative
+    2f'/f = rho with x^2/C^2 = 1 - 2x + x^2 * rho, so it is one scaled
+    exponential of rho with weight 2.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -130,29 +131,28 @@ def alien_connected(order: int) -> AsymptoticImage:
 
 def _extend_two_connected_image(
     order: int,
-    s_plus_x_sq: list[int],
     inverse: list[int],
+    inverse_sq: list[int],
     e: list[int],
     series: list[Fraction],
 ) -> None:
     """The integer rows of the 2-connected closed form, grown to ``order``.
 
-    (S+x)^2 reaches order + 2, x^2/(C2*S) reaches ``order``, and e, the
-    scaled exponential (weight 2) of minus [(S+x)^2 - 1]/x, reaches
-    order + 1: e^2 * exp(-[(S+x)^2-1]/(2x)) = sum e_m x^m / (2^m m!).
-    S = 1/(1 - C2/x) gives C2*S = x(S - 1), so x^2/(C2*S) = x/(S - 1) is
-    the reciprocal of (S - 1)/x, and S, read through gf's public builder,
-    is the only series the image needs.
+    x^2/C2, the reciprocal of C2/x^2, and its square x^4/C2^2 reach
+    order + 1; x^4/C2^2 is (1 - x)^2 + x^2 * rho, and the image's series
+    part f solves 2f'/f = rho, so e is the scaled exponential (weight 2) of
+    rho. C2, read through gf's public builder, is the only series the image
+    needs.
     """
-    s = gf.series_two_connected_sequences(order + 2).coefficients
-    s_plus_x = [v + (k == 1) for k, v in enumerate(s)]
-    for k in range(len(s_plus_x_sq), order + 3):
-        s_plus_x_sq.append(gf._pair_sum(s_plus_x, k, 0))  # (S+x)_0 = 1, so from i = 0
-    if Fraction(-s_plus_x_sq[1], 2) != -2:
-        raise AssertionError("exponent constant must be -2 for the 2-connected family")
-    truncated_reciprocal(s[1:], order, inverse)
-    _extend_scaled_exp([-v for v in s_plus_x_sq[1:]], 2, order + 1, e)
-    _extend_scaled_product(inverse, e, 2, order, series)
+    y = gf.series_two_connected(order + 3).coefficients
+    truncated_reciprocal(y[2:], order + 1, inverse)
+    for k in range(len(inverse_sq), order + 2):
+        inverse_sq.append(gf._pair_sum(inverse, k, 0))
+    if inverse_sq[:2] != [1, -2]:
+        raise AssertionError("x^4/C2^2 must start 1 - 2x for the 2-connected family")
+    rho = [v - (k == 0) for k, v in enumerate(inverse_sq[2:])]
+    _extend_scaled_exp(rho, 2, order, e)
+    series.extend(Fraction(e[m], 2**m * factorial(m)) for m in range(len(series), order + 1))
 
 
 _two_connected_image = gf.GrowOnly(_extend_two_connected_image, [], [], [1], [])
@@ -163,8 +163,10 @@ def alien_two_connected(order: int) -> AsymptoticImage:
     """Image of the 2-connected series.
 
     Closed form: e^-2/sqrt(2pi) * x^2/(C2*S) * exp(-[(S+x)^2 - 1]/(2x)),
-    where S = 1/(1 - C2/x), from the integer rows of image_table_series;
-    the series starts
+    where S = 1/(1 - C2/x) (see image_table_series). Its series part f has
+    f_0 = 1 and, by the differential equation of C2, the integer
+    log-derivative 2f'/f = rho with x^4/C2^2 = (1 - x)^2 + x^2 * rho, so it
+    is one scaled exponential of rho with weight 2. The series starts
     1 - 6x - 4x^2 - 218/3 x^3 - 890 x^4 - 196838/15 x^5 - ...
     """
     if order < 0:
@@ -289,26 +291,28 @@ IMAGE_REFERENCE: dict[str, tuple] = {
 def image_table_series(order: int) -> dict[str, PowerSeries]:
     """The ingredient series of the 2-connected image's closed form.
 
-    C2*S is x(S - 1), read off the S row; the other rows past S are
-    prefixes of the 2-connected image's cache. The last row is
-    the exponential factor with its transcendental constant e^-2 stripped
-    (2 being the constant term of the row above), so all entries are exact
-    rationals.
+    S = 1/(1 - C2/x) gives C2*S = x(S - 1), so C2*S is read off the S row
+    and x^2/(C2*S) is the reciprocal of (S - 1)/x. The rows run on integer
+    lists, apart from the halving and the last row, which is the scaled
+    exponential (weight 2) of -[(S+x)^2-1]/x with its transcendental
+    constant e^-2 stripped (2 being the constant term of the row above), so
+    all entries are exact rationals. The image itself does not read them.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    s_plus_x_sq, inverse, e, _ = _two_connected_image.grow(order)
     s = gf.series_two_connected_sequences(order + 2)
+    s_plus_x = [v + (k == 1) for k, v in enumerate(s.coefficients)]
+    s_plus_x_sq = [gf._pair_sum(s_plus_x, k, 0) for k in range(order + 3)]
+    e = [1]
+    _extend_scaled_exp([-k * s_plus_x_sq[k + 1] for k in range(1, order + 2)], 2, order + 1, e)
     return {
         "S": s,
-        "(S+x)^2": PowerSeries(s_plus_x_sq[: order + 3]),
-        "[(S+x)^2-1]/(2x)": PowerSeries(
-            [Fraction(v, 2) for v in s_plus_x_sq[1 : order + 3]]
-        ),
+        "(S+x)^2": PowerSeries(s_plus_x_sq),
+        "[(S+x)^2-1]/(2x)": PowerSeries([Fraction(v, 2) for v in s_plus_x_sq[1:]]),
         "C2*S": (s - 1).mul_x_pow(1).truncate(order + 2),
-        "x^2/(C2*S)": PowerSeries(inverse[: order + 1]),
+        "x^2/(C2*S)": PowerSeries(truncated_reciprocal(s.coefficients[1:], order)),
         "e^2*exp(-[(S+x)^2-1]/(2x))": PowerSeries(
-            [Fraction(v, 2**m * factorial(m)) for m, v in enumerate(e[: order + 2])]
+            [Fraction(v, 2**m * factorial(m)) for m, v in enumerate(e)]
         ),
     }
 

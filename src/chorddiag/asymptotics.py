@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 
 from . import gf
 from .alien import AsymptoticImage
+from .series import _cleared
 
 GUARD_DIGITS = 10
 
@@ -182,10 +183,13 @@ def estimate(
             f"asymptotic estimate with n - terms = {n - terms} < 5 is unreliable",
             stacklevel=2,
         )
-    partial = sum(
-        (image.series[k] * gamma_scale(n, k) for k in range(terms)),
-        start=Fraction(0),
-    )
+    # Horner in k: (2(n-k)-1)!! is (2(n-R)+1)!! times small odd factors, so
+    # the sum runs on the cleared numerators with one big product at the end.
+    c, d = _cleared(image.series.coefficients[:terms])
+    total = 0
+    for k, v in enumerate(c):
+        total = total * (2 * (n - k) + 1) + v
+    partial = Fraction(total * gamma_scale(n, terms - 1), d or 1)
     return HighPrecisionDecimal(partial * _transcendental_factor(image, digits), digits)
 
 
@@ -262,6 +266,8 @@ def probability_check(n: int, digits: int = 30) -> ProbabilityCheck:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if digits < 1:
+        raise ValueError("digits must be positive")
     exact = gf.series_two_connected(max(n, 2))[n] if n >= 2 else 0
     ratio = Fraction(exact, gf.double_factorial_odd(n))
     work = digits + GUARD_DIGITS

@@ -9,18 +9,20 @@ A coefficient is an ``int`` or a ``fractions.Fraction``, kept as given (a
 string is parsed to a Fraction, a float refused; padding zeros are ints).
 On ints, sums, differences, products, int multiples, composition,
 derivatives, shifts, truncation and the reciprocal of a series with
-constant term +-1 (so also ``/`` by such a series) give ints. Only division
-makes Fractions: ``/`` by a scalar or any other series, ``reverse``, ``log``,
-``exp`` and ``pow_rational`` give Fractions, never floats. A Fraction with
+constant term +-1 (so also ``/`` by such a series) and ``reverse`` of a
+series with linear term +-1 give ints. Only division makes Fractions: ``/``
+by a scalar or any other series, any other ``reverse``, ``log``, ``exp`` and
+``pow_rational`` give Fractions, never floats. A Fraction with
 denominator 1 stays a Fraction. As ``2 == Fraction(2)`` with equal hashes,
 equality and hashing do not depend on the type. ``Rational`` names the
 Fraction type, for callers that want to be explicit about exact rationals.
 
 The exponential is computed in one place, ``_extend_scaled_exp``: an integer
-recurrence for w^m * m! times the coefficients of exp(g/w), g an int list.
-``exp`` clears its denominators to reach that form, and the alien images run
-on it directly. ``log`` is the integral of f'/f, and ``pow_rational`` is
-exp(q * log f).
+recurrence for w^m * m! times the coefficients of the f with f' = f * dg/w,
+f_0 = 1, dg an int list. ``exp`` clears its denominators and passes the
+derivative of its exponent; the alien images pass their integer
+log-derivatives directly. ``log`` is the integral of f'/f, and
+``pow_rational`` is exp(q * log f).
 """
 
 from __future__ import annotations
@@ -142,35 +144,21 @@ def _falling_sum(a: Sequence[int], e: Sequence[int], m: int) -> int:
     return total
 
 
-def _extend_scaled_exp(g: Sequence[int], w: int, n: int, e: list[int]) -> None:
-    """Extend e_m = w^m * m! * [x^m] exp((g - g_0)/w) to m = n, for integers g.
+def _extend_scaled_exp(dg: Sequence[int], w: int, n: int, e: list[int]) -> None:
+    """Extend e_m = w^m * m! * f_m to m = n, where f' = f * dg/w and f_0 = 1.
 
-    g_0 is left out: exp needs it to be 0, and in the alien images it is the
-    rational constant that stays symbolic as the prefactor's e-exponent.
-    f = exp((g - g_0)/w) solves f' = g'f/w, that is
-    m*f_m = sum k*g_k*f_{m-k}/w; with f_m = e_m/(w^m m!) this reads
-    e_m = sum_k k*g_k*w^(k-1) * (m-1)!/(m-k)! * e_{m-k},
+    dg is the derivative of the exponent, so f = exp(g/w) for g' = dg and
+    g_0 = 0; in the alien images dg is an integer log-derivative, and the
+    rational constant of the exponent stays symbolic as the prefactor's
+    e-exponent. m*f_m = sum_k dg_(k-1)*f_(m-k)/w with f_m = e_m/(w^m m!)
+    reads e_m = sum_k dg_(k-1)*w^(k-1) * (m-1)!/(m-k)! * e_(m-k),
     a sum of integer products, since (m-1)!/(m-k)! is a falling factorial.
     So every e_m is an integer, and the only division left is the one by
-    w^m m!. g must reach order n, and e starts as [1].
+    w^m m!. dg must reach order n - 1, and e starts as [1].
     """
-    weights = [(k + 1) * g[k + 1] * w**k for k in range(n)]  # k*g_k*w^(k-1), k >= 1
+    weights = [dg[k] * w**k for k in range(n)]
     for m in range(len(e), n + 1):
         e.append(_falling_sum(weights, e, m - 1))
-
-
-def _extend_scaled_product(
-    p: Sequence[int], e: Sequence[int], w: int, n: int, out: list
-) -> None:
-    """Extend p(x) * exp(g/w) to order n, from the scaled exponential e of g.
-
-    Coefficient m is sum_i p_i * e_{m-i}/(w^(m-i) (m-i)!), which over the
-    common denominator w^m m! has the integer numerator
-    sum_i p_i * w^i * m!/(m-i)! * e_{m-i}: one Fraction per coefficient.
-    """
-    weights = [c * w**i for i, c in enumerate(p[: n + 1])]
-    for m in range(len(out), n + 1):
-        out.append(Fraction(_falling_sum(weights, e, m), w**m * factorial(m)))
 
 
 class PowerSeries:
@@ -405,16 +393,18 @@ class PowerSeries:
         Requires c0 = 0 and c1 != 0. With F = self/c1, which is tangent to
         the identity, g(x) = G(x/c1) where G solves G(F) = x, so
         g_k = G_k / c1^k; an exact composition check validates the result.
+        For c1 = +-1, 1/c1 = c1 and no division is made, so ints stay ints.
         """
         if self._coeffs[0] != 0 or self.order < 1 or self._coeffs[1] == 0:
             raise ValueError(
                 "not reversible: need zero constant term and nonzero linear term"
             )
         n = self.order
-        c1 = Fraction(self._coeffs[1])
-        tangent = [c / c1 for c in self._coeffs]
+        c1 = self._coeffs[1]
+        inv = c1 if c1 in (1, -1) else 1 / Fraction(c1)
+        tangent = [c * inv for c in self._coeffs]
         solved = solve_composition(tangent, [0, 1] + [0] * (n - 1), n)
-        g = PowerSeries([h / c1**k for k, h in enumerate(solved)])
+        g = PowerSeries._of(tuple(h * inv**k for k, h in enumerate(solved)))
         if self.compose(g) != PowerSeries.x(n):
             raise ReversionError("reversion failed its exact composition check")
         return g
@@ -425,14 +415,14 @@ class PowerSeries:
         """exp of a series with zero constant term.
 
         With self = g/d for an int list g, coefficient m is e_m/(d^m m!),
-        e the scaled exponential of g with weight d (_extend_scaled_exp).
+        e the scaled exponential of g' with weight d (_extend_scaled_exp).
         """
         if self._coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
         g, d = _cleared(self._coeffs)
         w = d or 1
         e = [1]
-        _extend_scaled_exp(g, w, self.order, e)
+        _extend_scaled_exp([k * g[k] for k in range(1, len(g))], w, self.order, e)
         return PowerSeries._of(
             tuple(Fraction(v, w**m * factorial(m)) for m, v in enumerate(e))
         )

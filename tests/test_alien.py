@@ -112,32 +112,47 @@ class TestTwoConnectedImage:
             assert got == tuple(Fraction(e) for e in expected), name
 
     def test_wrong_exponent_constant_raises(self, monkeypatch):
-        s = gf.series_two_connected_sequences
-        monkeypatch.setattr(
-            gf, "series_two_connected_sequences", lambda order: s(order) + PowerSeries.x(order)
-        )
+        y = gf.series_two_connected
+        monkeypatch.setattr(gf, "series_two_connected", lambda order: 2 * y(order))
         alien_two_connected.cache_clear()
-        with pytest.raises(AssertionError, match="-2"):
+        with pytest.raises(AssertionError, match="x\\^4/C2\\^2 .* 2-connected family"):
             alien_two_connected(5)
 
     def test_failed_build_leaves_no_half_grown_state(self, monkeypatch):
-        s = gf.series_two_connected_sequences
+        y = gf.series_two_connected
+        cubic = PowerSeries([0, 0, 0, 1])  # C2/x^2 = 1 + 2x + ...: x^4/C2^2 starts 1 - 4x
         with monkeypatch.context() as patch:
-            patch.setattr(
-                gf, "series_two_connected_sequences", lambda order: s(order) + PowerSeries.x(order)
-            )
+            patch.setattr(gf, "series_two_connected", lambda order: y(order) + cubic)
             alien_two_connected.cache_clear()
-            with pytest.raises(AssertionError, match="-2"):
+            with pytest.raises(AssertionError, match="2-connected family"):
                 alien_two_connected(5)
+        assert alien_two_connected.cache_info().currsize == 0
         assert alien_two_connected(6).series[6] == Fraction(-9972896, 45)
-        c = gf.series_connected
+        t = gf.connected_sq_div_x
         expected = alien_connected(6)
         with monkeypatch.context() as patch:
-            patch.setattr(gf, "series_connected", lambda order: 2 * c(order))
+            patch.setattr(gf, "connected_sq_div_x", lambda order: 2 * t(order))
             alien_connected.cache_clear()
-            with pytest.raises(AssertionError, match="-1"):
+            with pytest.raises(AssertionError, match="x\\^2/C\\^2 .* the connected family"):
                 alien_connected(5)
+        assert alien_connected.cache_info().currsize == 0
         assert alien_connected(6) == expected
+
+    def test_log_derivatives_are_integer_series(self):
+        # 2f' = rho * f, rho read off x^2/C^2 and x^4/C2^2, at order 200
+        order = 200
+        c = gf.series_connected(order + 2)
+        y = gf.series_two_connected(order + 3)
+        rows = (
+            (alien_connected, (c.div_x_pow(1) ** 2).reciprocal(), [1, -2]),
+            (alien_two_connected, y.div_x_pow(2).reciprocal() ** 2, [1, -2, 1]),
+        )
+        for build, quotient, head in rows:
+            rho = (quotient - PowerSeries(head, order=order + 1)).div_x_pow(2)
+            assert rho.order == order - 1
+            assert all(type(v) is int for v in rho.coefficients)
+            f = build(order).series
+            assert 2 * f.derivative() == rho * f, build.__name__
 
     def test_sixth_coefficient_regression(self):
         assert alien_two_connected(6).series[6] == Fraction(-9972896, 45)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chorddiag import gf
+from chorddiag import asymptotics, gf
 from chorddiag.alien import AsymptoticImage, alien_connected, alien_two_connected
 from chorddiag.asymptotics import (
     HighPrecisionDecimal,
@@ -150,6 +150,20 @@ class TestEstimate:
         with pytest.warns(UserWarning, match="unreliable"):
             estimate(image, 6, 3)
 
+    def test_equals_termwise_fraction_sum(self):
+        for image in (alien_connected(10), alien_two_connected(10)):
+            factor = asymptotics._transcendental_factor(image, 30)
+            for terms in range(1, 12):
+                for n in range(terms, 60):
+                    termwise = sum(
+                        (image.series[k] * gamma_scale(n, k) for k in range(terms)),
+                        start=Fraction(0),
+                    )
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = estimate(image, n, terms).value
+                    assert got == termwise * factor, (n, terms)
+
     def test_residual_sqrt_two_pi_power(self):
         # an image carrying no 1/sqrt(2pi) picks up a residual sqrt(2pi)
         base = alien_two_connected(3)
@@ -223,6 +237,11 @@ class TestProbability:
         for n in (20, 25, 30, 35, 40):
             check = probability_check(n)
             assert abs(check.scaled_deviation) < 1
+
+    def test_digits_must_be_positive(self):
+        for digits in (0, -3):
+            with pytest.raises(ValueError, match="digits must be positive"):
+                probability_check(10, digits)
 
     def test_model_value(self):
         check = probability_check(6, digits=20)

@@ -305,13 +305,19 @@ class TestIntegerSeries:
             PowerSeries([2, 4]) / 2,
             self.f / PowerSeries([2, 1, 0, 3, 1]),
             PowerSeries([0, 2, 3]).reverse(),
-            self.inner.reverse(),
             self.f.log(),
             self.inner.exp(),
             self.f.pow_rational(Fraction(1, 2)),
             self.f.pow_rational(2),
         ):
             self.assert_all(result, Fraction)
+
+    def test_reverse_with_unit_linear_term_stays_int(self):
+        for inner in (self.inner, -self.inner, gf.connected_sq_div_x(30)):
+            fractions = PowerSeries([Fraction(c) for c in inner.coefficients])
+            self.assert_all(fractions.reverse(), Fraction)
+            self.assert_all(inner.reverse(), int)
+            assert inner.reverse() == fractions.reverse()
 
     def test_division_by_a_unit_series_is_a_product(self):
         self.assert_all(self.f / self.g, int)
