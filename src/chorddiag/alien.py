@@ -126,7 +126,7 @@ def alien_connected(order: int) -> AsymptoticImage:
     if order < 1:
         raise ValueError("order must be at least 1")
     series = _connected_image.grow(order)[-1]
-    return AsymptoticImage(Fraction(-1), -1, PowerSeries(series[: order + 1]))
+    return AsymptoticImage(Fraction(-1), -1, PowerSeries._of(tuple(series[: order + 1])))
 
 
 def _extend_two_connected_image(
@@ -172,7 +172,7 @@ def alien_two_connected(order: int) -> AsymptoticImage:
     if order < 0:
         raise ValueError("order must be nonnegative")
     series = _two_connected_image.grow(order)[-1]
-    return AsymptoticImage(Fraction(-2), -1, PowerSeries(series[: order + 1]))
+    return AsymptoticImage(Fraction(-2), -1, PowerSeries._of(tuple(series[: order + 1])))
 
 
 def alien_product(

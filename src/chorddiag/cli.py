@@ -292,7 +292,7 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
     def round_trip(partner: list[int], level: int) -> None:
         nonlocal bad, seen
         seen += 1
-        diagram = oracle.ChordDiagram([q + 1 for q in partner])
+        diagram = oracle.ChordDiagram._from_involution(tuple([q + 1 for q in partner]))
         try:
             ok = oracle.recompose(oracle.decompose_connected(diagram)) == diagram
         except ValueError:
@@ -379,6 +379,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.order < 1:
+        raise UsageError(f"order must be at least 1, got {args.order}")
     cap = configured_cap()
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0

@@ -23,7 +23,7 @@ import enum
 from collections import namedtuple
 from functools import partial
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 try:  # compiled census kernel, with a pure-Python fallback
     from . import _census as _census_impl
@@ -146,38 +146,56 @@ def crossing(chord_a: tuple[int, int], chord_b: tuple[int, int]) -> bool:
     return a < c < b < d or c < a < d < b
 
 
+def _crossing_masks(pairing: tuple[int, ...]) -> list[int]:
+    """Mask c has bit d set when chord c crosses chord d, chords numbered by left end.
+
+    One sweep: ``open_mask`` holds the chords opened and not yet closed. A
+    chord crosses the chords open at its opening and closed before it, plus
+    those opened after it and open at its closing: the bits in which
+    ``open_mask`` at its opening and at its closing differ.
+    """
+    masks = []
+    chord_at = [0] * (len(pairing) + 1)  # chord closing at a position
+    open_mask = 0
+    for i, p in enumerate(pairing, start=1):
+        if i < p:
+            chord_at[p] = c = len(masks)
+            masks.append(open_mask)
+            open_mask |= 1 << c
+        else:
+            c = chord_at[i]
+            open_mask ^= 1 << c
+            masks[c] ^= open_mask
+    return masks
+
+
+def _spans(masks: Sequence[int], keep: int) -> bool:
+    """True when the chords in ``keep``, a bitmask, are a non-empty connected set."""
+    if not keep:
+        return False
+    seen = frontier = keep & -keep
+    while frontier:
+        low = frontier & -frontier
+        grown = masks[low.bit_length() - 1] & keep & ~seen
+        seen |= grown
+        frontier = (frontier ^ low) | grown
+    return seen == keep
+
+
 class IntersectionGraph:
     """Graph on the chords of a diagram with an edge for every crossing.
 
-    ``masks[c]`` has bit d set when chord c crosses chord d; chords are
-    numbered by left endpoint, as in ``ChordDiagram.chords``. One
-    left-to-right sweep builds every mask: ``open_mask`` holds the chords
-    opened and not yet closed, and a chord crosses exactly the chords that
-    were open when it opened and closed before it, plus those opened after
-    it and still open when it closes. Both sets are the bits in which
-    ``open_mask`` at its opening and at its closing differ. The
-    connectivity tests read only the masks, so ``chords`` is read off the
-    diagram when asked for.
+    ``masks[c]`` has bit d set when chord c crosses chord d, as
+    ``_crossing_masks`` builds them. The module's predicates run on those
+    masks straight from the pairing and build no graph object; this class
+    is for callers that want the graph itself, its edges or its chords.
     """
 
     __slots__ = ("_diagram", "masks")
 
     def __init__(self, diagram: ChordDiagram):
-        pairing = diagram.pairing
-        masks = []
-        chord_at = [0] * (len(pairing) + 1)  # chord closing at a position
-        open_mask = 0
-        for i, p in enumerate(pairing, start=1):
-            if i < p:
-                chord_at[p] = c = len(masks)
-                masks.append(open_mask)
-                open_mask |= 1 << c
-            else:
-                c = chord_at[i]
-                open_mask ^= 1 << c
-                masks[c] ^= open_mask
         self._diagram = diagram
-        self.masks = tuple(masks)
+        self.masks = tuple(_crossing_masks(diagram.pairing))
 
     @property
     def chords(self) -> tuple[tuple[int, int], ...]:
@@ -192,24 +210,7 @@ class IntersectionGraph:
         )
 
     def is_connected(self) -> bool:
-        return self._connected_without(0)
-
-    def _connected_without(self, removed: int) -> bool:
-        """True when the chords outside ``removed`` are a non-empty connected set.
-
-        ``removed`` is a bitmask with bit c set for each removed chord c.
-        """
-        masks = self.masks
-        keep = ((1 << len(masks)) - 1) & ~removed
-        if not keep:
-            return False
-        seen = frontier = keep & -keep
-        while frontier:
-            low = frontier & -frontier
-            grown = masks[low.bit_length() - 1] & keep & ~seen
-            seen |= grown
-            frontier = (frontier ^ low) | grown
-        return seen == keep
+        return _spans(self.masks, (1 << len(self.masks)) - 1)
 
 
 def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[ChordDiagram]:
@@ -253,9 +254,10 @@ def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[Cho
 
 def is_connected(diagram: ChordDiagram) -> bool:
     """True when the intersection graph is connected; undefined for n = 0."""
-    if diagram.n == 0:
+    pairing = diagram.pairing
+    if not pairing:
         raise ValueError("connectivity is undefined for the empty diagram")
-    return IntersectionGraph(diagram).is_connected()
+    return _spans(_crossing_masks(pairing), (1 << (len(pairing) // 2)) - 1)
 
 
 def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
@@ -265,24 +267,29 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     the single chord connected but not 2-connected, matching the connectivity
     censuses.
     """
-    if diagram.n < 1:
+    pairing = diagram.pairing
+    n = len(pairing) // 2
+    if n < 1:
         raise ValueError("k-connectivity is undefined for the empty diagram")
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = diagram.n
     if n < k:
         return False
-    graph = IntersectionGraph(diagram)
-    if not graph.is_connected():
-        return False
+    masks = _crossing_masks(pairing)
+    every = (1 << n) - 1
     if k == 2:  # the common case: one removal per chord
+        # chords 1..n-1 connected without chord 0, and chord 0 crossing one: all connected
+        if not masks[0]:
+            return False
         for c in range(n):
-            if not graph._connected_without(1 << c):
+            if not _spans(masks, every ^ (1 << c)):
                 return False
         return True
+    if not _spans(masks, every):
+        return False
     bits = [1 << c for c in range(n)]
     return all(
-        graph._connected_without(sum(removed))
+        _spans(masks, every & ~sum(removed))
         for r in range(1, min(k - 1, n - 1) + 1)
         for removed in combinations(bits, r)
     )
@@ -378,7 +385,8 @@ def _remove_interval(diagram: ChordDiagram, removal: ReasonRemoval) -> ChordDiag
     pairing = diagram.pairing
     keep = [pos for pos in range(1, diagram.size + 1) if pos not in removed]
     index = {pos: i + 1 for i, pos in enumerate(keep)}
-    return ChordDiagram(index[pairing[pos - 1]] for pos in keep)
+    # the removed positions pair among themselves, so the kept ones form an involution
+    return ChordDiagram._from_involution(tuple(index[pairing[pos - 1]] for pos in keep))
 
 
 def _insert_interval(diagram: ChordDiagram, removal: ReasonRemoval) -> ChordDiagram:

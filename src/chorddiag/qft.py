@@ -197,22 +197,18 @@ class QedGraph(namedtuple("QedGraph", ["path_length", "photons", "root_position"
 def chord_to_qed(diagram: ChordDiagram) -> QedGraph:
     """Straighten a diagram into its fermion-path graph.
 
-    Positions 2..2n become the path vertices in order; the root chord turns
+    Positions 2..2n become the path vertices 1..2n-1; the root chord turns
     into the external photon at the vertex of its right endpoint, and every
     other chord into an internal photon. Inverse of qed_to_chord. The
     photons come out as (left, right) pairs in increasing order, the form
     the QedGraph constructor normalises to, and a diagram's image is always
     a valid graph, so the graph is built without the constructor's checks.
     """
-    if diagram.n == 0:
-        raise ValueError("the empty diagram has no graph image")
     pairing = diagram.pairing
-    photons = [
-        (i - 1, pairing[i - 1] - 1)
-        for i in range(2, diagram.size + 1)
-        if i < pairing[i - 1]
-    ]
-    return QedGraph._make((diagram.size - 1, tuple(photons), pairing[0] - 1))
+    if not pairing:
+        raise ValueError("the empty diagram has no graph image")
+    photons = tuple([(v, p - 1) for v, p in enumerate(pairing[1:], 1) if v < p - 1])
+    return QedGraph._make((len(pairing) - 1, photons, pairing[0] - 1))
 
 
 def qed_to_chord(graph: QedGraph) -> ChordDiagram:
@@ -244,17 +240,16 @@ class Subdivergence(namedtuple("Subdivergence", ["start", "end", "kind"])):
     __slots__ = ()
 
 
-def _interval_bridgeless(photons, start: int, end: int) -> bool:
-    """True when photons span every fermion edge (i, i + 1), start <= i < end.
+def _bridgeless(photons, length: int) -> bool:
+    """True when photons span every fermion edge (i, i + 1), 1 <= i < length.
 
-    Bit i of a span mask stands for the edge (i, i + 1); the photon (u, v)
+    Bit i of the span mask stands for the edge (i, i + 1); the photon (u, v)
     spans bits u..v-1.
     """
     spanned = 0
     for u, v in photons:
         spanned |= (1 << v) - (1 << u)
-    edges = (1 << end) - (1 << start)
-    return spanned & edges == edges
+    return spanned == (1 << length) - 2
 
 
 def find_subdivergences(graph: QedGraph) -> list[Subdivergence]:
@@ -273,47 +268,54 @@ def find_subdivergences(graph: QedGraph) -> list[Subdivergence]:
 def _subdivergences(graph: QedGraph) -> Iterator[Subdivergence]:
     """The subdivergences of ``graph`` in (start, end) order, one at a time.
 
-    One sweep per start: as ``end`` moves right, three quantities stay
-    current for [start, end]: the internal photons, the stubs (photons with
-    one endpoint inside, plus the external photon), and the mask of fermion
-    edges that internal photons span (bit i for the edge (i, i + 1)). The
-    interval has no uncovered edge when that mask holds bits start..end-1.
+    One sweep per start: as ``end`` moves right, the stubs of [start, end]
+    (photons with one endpoint inside, plus the external photon) and the
+    mask of fermion edges its internal photons span (bit i for the edge
+    (i, i + 1)) stay current; no edge is uncovered when the mask holds bits
+    start..end-1. Only the photon of vertex ``start`` spans the edge
+    (start, start + 1), so a start whose photon goes left or out is skipped;
+    a stub going left or out stays one, so a start stops at its second.
     """
     length = graph.path_length
     partner = [0] * (length + 1)  # 0 marks the external photon's vertex
     for u, v in graph.photons:
         partner[u], partner[v] = v, u
-    for start in range(1, length + 1):
-        internal = stubs = spanned = 0
-        for end in range(start, length + 1):
+    for start in range(1, length):
+        if partner[start] < start:
+            continue
+        stubs, spanned, low, stuck = 1, 0, 1 << start, False
+        for end in range(start + 1, length + 1):
             other = partner[end]
-            if start <= other < end:
-                internal += 1
+            if other > end:
+                stubs += 1
+            elif other >= start:
                 stubs -= 1
                 spanned |= (1 << end) - (1 << other)
+            elif stuck:
+                break
             else:
                 stubs += 1
-            if start == 1 and end == length:
-                continue  # the whole graph is not a proper subgraph
-            if internal and stubs <= 1 and spanned == (1 << end) - (1 << start):
+                stuck = True
+            if stubs <= 1 and spanned == (1 << end) - low and (start > 1 or end < length):
+                # the whole graph, [1, length], is not a proper subgraph
                 yield Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
 
 
 def is_one_particle_irreducible(graph: QedGraph) -> bool:
     """No internal-edge bridge: every fermion edge is spanned by a photon."""
-    return _interval_bridgeless(graph.photons, 1, graph.path_length)
+    return _bridgeless(graph.photons, graph.path_length)
 
 
 def is_primitive(graph: QedGraph) -> bool:
     """1PI, at least one loop, and free of subdivergences.
 
     Tree-level graphs (no internal photon) are the unit of the counting
-    series, not counted primitives, hence the loop requirement. The scan
-    stops at the first subdivergence.
+    series, not counted primitives, hence the loop requirement. The 1PI
+    test is one span mask over the photons; the subdivergence scan is the
+    sweep of ``find_subdivergences`` and stops at the first one it finds.
     """
-    if not graph.photons:
-        return False
-    if not is_one_particle_irreducible(graph):
+    photons = graph.photons
+    if not photons or not _bridgeless(photons, graph.path_length):
         return False
     return next(_subdivergences(graph), None) is None
 

@@ -224,6 +224,15 @@ class TestVerify:
         assert "PASS" not in out
         assert "nothing to check" in err
 
+    @pytest.mark.parametrize(
+        "suite, order", [("tables", "0"), ("chain-rule", "-1"), ("all", "0")]
+    )
+    def test_order_below_one_exits_2_before_any_suite(self, capsys, suite, order):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: order must be at least 1, got {order}\n"
+
     def test_proposition_with_nothing_to_check_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CHORDDIAG_CAP", "1")
         code, out, err = run(capsys, "verify", "--suite", "proposition")

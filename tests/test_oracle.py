@@ -1,5 +1,7 @@
 """Diagram oracle: enumeration, connectivity, cut witnesses, decomposition."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,7 +195,36 @@ class TestCrossingMasks:
         )
 
 
+def bfs_k_connected(diagram, k):
+    """k-connectivity by a search over pairwise_crossings after each removal."""
+    n = diagram.n
+    if n < k:
+        return False
+    neighbours = [set() for _ in range(n)]
+    for i, j in pairwise_crossings(diagram):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    for r in range(min(k - 1, n - 1) + 1):  # r = 0: the diagram itself is connected
+        for removed in combinations(range(n), r):
+            rest = set(range(n)).difference(removed)
+            seen, queue = {min(rest)}, [min(rest)]
+            while queue:
+                grown = (neighbours[queue.pop(0)] & rest) - seen
+                seen |= grown
+                queue.extend(grown)
+            if seen != rest:
+                return False
+    return True
+
+
 class TestKConnectivity:
+    @given(matchings, st.sampled_from([1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_search_after_each_removal(self, diagram, k):
+        assert is_k_connected(diagram, k) == bfs_k_connected(diagram, k), diagram.to_text()
+        if k == 1:
+            assert is_connected(diagram) == bfs_k_connected(diagram, 1)
+
     def test_crossing_two_connected(self):
         assert is_k_connected(CROSSING, 2)
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from test_oracle import matchings
 
 from chorddiag import gf
 from chorddiag.oracle import (
@@ -133,6 +135,16 @@ class TestGraphMapping:
                 assert len(graph.photons) == n - 1
                 assert loop_number(graph) == n - 1
                 assert loop_number(graph) == loop_number_cycle_rank(graph)
+
+    @given(matchings)
+    @settings(max_examples=300, deadline=None)
+    def test_image_is_the_checked_graph_and_inverts(self, diagram):
+        graph = chord_to_qed(diagram)
+        assert type(graph) is QedGraph
+        assert graph == QedGraph(graph.path_length, graph.photons, graph.root_position)
+        assert graph.path_length == diagram.size - 1
+        assert graph.root_position == diagram.partner(1) - 1
+        assert qed_to_chord(graph) == diagram
 
     def test_validation(self):
         with pytest.raises(ValueError, match="exactly one photon"):
@@ -267,6 +279,14 @@ class TestFirstHit:
                     and is_one_particle_irreducible(g)
                     and not find_subdivergences(g)
                 ), g.to_text()
+
+    @given(matchings)
+    @settings(max_examples=300, deadline=None)
+    def test_primitive_matches_its_definition_on_matchings(self, diagram):
+        g = chord_to_qed(diagram)
+        assert is_primitive(g) == (
+            bool(g.photons) and is_one_particle_irreducible(g) and not find_subdivergences(g)
+        ), g.to_text()
 
 
 class TestBijection:
