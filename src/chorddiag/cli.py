@@ -7,6 +7,10 @@ or precondition error.
 
 The enumeration cap defaults to 8 chords; the environment variable
 CHORDDIAG_CAP raises it (at most 10 -- (2*10-1)!! is about 6.5e8 matchings).
+The orders that series, alien and estimate compute (--order, --terms and
+--n-to) are capped at 850, where the slowest of them, an alien image, takes
+about 10 s as a cold process; CHORDDIAG_ORDER_CAP raises or lowers the cap.
+The library functions and verify --order are not capped.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ DEFAULT_DIGITS = 30
 DEFAULT_CAP = oracle.DEFAULT_CAP
 HARD_CAP = oracle.HARD_CAP
 CAP_ENV_VAR = "CHORDDIAG_CAP"
+DEFAULT_ORDER_CAP = 850
+ORDER_CAP_ENV_VAR = "CHORDDIAG_ORDER_CAP"
 SERIES_CSV_HEADER = ["index", "num", "den"]
 CLASS_K = {"all": 0, "connected": 1, "2connected": 2}
 
@@ -37,17 +43,36 @@ class UsageError(Exception):
     pass
 
 
-def configured_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
+def _env_cap(name: str, default: int, top: int | None = None) -> int:
+    """The cap set in the environment variable ``name``, or ``default``.
+
+    A cap is an integer of at least 1, and at most ``top`` when given.
+    """
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_CAP
+        return default
     try:
         cap = int(raw)
     except ValueError:
-        raise UsageError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not 1 <= cap <= HARD_CAP:
-        raise UsageError(f"{CAP_ENV_VAR} must lie in 1..{HARD_CAP}, got {cap}")
+        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+    if not 1 <= cap <= (top or cap):
+        bound = f"lie in 1..{top}" if top else "be at least 1"
+        raise UsageError(f"{name} must {bound}, got {cap}")
     return cap
+
+
+def configured_cap() -> int:
+    return _env_cap(CAP_ENV_VAR, DEFAULT_CAP, HARD_CAP)
+
+
+def _check_order(option: str, value: int) -> None:
+    """Refuse a series order above the configured order cap."""
+    cap = _env_cap(ORDER_CAP_ENV_VAR, DEFAULT_ORDER_CAP)
+    if value > cap:
+        raise UsageError(
+            f"{option} {value} exceeds the order cap of {cap}; "
+            f"set {ORDER_CAP_ENV_VAR} to raise it"
+        )
 
 
 def _rational_str(value: Fraction) -> str:
@@ -99,6 +124,7 @@ def _emit_series(f: PowerSeries, fmt: str) -> None:
 
 
 def cmd_series(args) -> int:
+    _check_order("--order", args.order)
     f = gf.series_family(args.family, args.order)
     _emit_series(f, args.format)
     return 0
@@ -132,6 +158,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_alien(args) -> int:
+    _check_order("--order", args.order)
     image = (
         alien.alien_connected(args.order)
         if args.family == "C"
@@ -163,6 +190,8 @@ def cmd_estimate(args) -> int:
         raise UsageError("terms must be at least 1")
     if args.n_to < args.n_from:
         raise UsageError("--n-to must not be below --n-from")
+    _check_order("--terms", args.terms)
+    _check_order("--n-to", args.n_to)
     order = max(args.terms - 1, 1)
     if args.family == "C":
         image = alien.alien_connected(order)

@@ -229,12 +229,14 @@ def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[Cho
         return
     size = 2 * n
     partner = [0] * (size + 2)  # 1-based; the free slot size + 1 ends each search
+    free_from = partner.index
+    new_diagram = object.__new__
     # Depth first, with the placed chords (i, j) on an explicit stack: i was
     # the smallest free position when the chord was placed, j its partner.
     stack = []
     i = j = 1
     while True:
-        j = partner.index(0, j + 1)
+        j = free_from(0, j + 1)
         if j > size:  # every partner of i tried: take back the chord before
             if not stack:
                 return
@@ -243,9 +245,12 @@ def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[Cho
             continue
         partner[i] = j
         partner[j] = i
-        first_free = partner.index(0, i + 1)
+        first_free = free_from(0, i + 1)
         if first_free > size:
-            yield ChordDiagram._from_involution(tuple(partner[1:-1]))
+            # a leaf, built as ChordDiagram._from_involution does
+            diagram = new_diagram(ChordDiagram)
+            diagram._pairing = tuple(partner[1:-1])
+            yield diagram
             partner[i] = partner[j] = 0
         else:
             stack.append((i, j))
@@ -281,9 +286,11 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
         # chords 1..n-1 connected without chord 0, and chord 0 crossing one: all connected
         if not masks[0]:
             return False
-        for c in range(n):
-            if not _spans(masks, every ^ (1 << c)):
+        bit = 1
+        while bit <= every:
+            if not _spans(masks, every ^ bit):
                 return False
+            bit <<= 1
         return True
     if not _spans(masks, every):
         return False

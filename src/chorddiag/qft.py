@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import gf
 from .oracle import DEFAULT_CAP, ChordDiagram, enumerate_diagrams, is_k_connected
@@ -142,7 +142,7 @@ class QedGraph(namedtuple("QedGraph", ["path_length", "photons", "root_position"
     exactly one photon endpoint. The constructor stores each photon as a
     (u, v) pair with u < v, in increasing order, and checks the graph;
     ``QedGraph._make`` stores its fields as given, for graphs built in that
-    form already.
+    form already, as ``chord_to_qed`` builds its images.
     """
 
     __slots__ = ()
@@ -194,6 +194,9 @@ class QedGraph(namedtuple("QedGraph", ["path_length", "photons", "root_position"
         return cls(int(head), photons, root)
 
 
+_new_tuple = tuple.__new__  # what QedGraph._make calls, without its length check
+
+
 def chord_to_qed(diagram: ChordDiagram) -> QedGraph:
     """Straighten a diagram into its fermion-path graph.
 
@@ -202,13 +205,14 @@ def chord_to_qed(diagram: ChordDiagram) -> QedGraph:
     other chord into an internal photon. Inverse of qed_to_chord. The
     photons come out as (left, right) pairs in increasing order, the form
     the QedGraph constructor normalises to, and a diagram's image is always
-    a valid graph, so the graph is built without the constructor's checks.
+    a valid graph, so the graph is built as a plain tuple of its fields,
+    without the constructor's checks.
     """
     pairing = diagram.pairing
     if not pairing:
         raise ValueError("the empty diagram has no graph image")
     photons = tuple([(v, p - 1) for v, p in enumerate(pairing[1:], 1) if v < p - 1])
-    return QedGraph._make((len(pairing) - 1, photons, pairing[0] - 1))
+    return _new_tuple(QedGraph, (len(pairing) - 1, photons, pairing[0] - 1))
 
 
 def qed_to_chord(graph: QedGraph) -> ChordDiagram:
@@ -262,11 +266,18 @@ def find_subdivergences(graph: QedGraph) -> list[Subdivergence]:
     external photon counting as a stub like any other. Candidates need at
     least one internal photon (a loop) and no uncovered fermion edge.
     """
-    return list(_subdivergences(graph))
+    length = graph.path_length
+    partner = [0] * (length + 1)  # 0 marks the external photon's vertex
+    for u, v in graph.photons:
+        partner[u], partner[v] = v, u
+    return _subdivergences(length, partner)
 
 
-def _subdivergences(graph: QedGraph) -> Iterator[Subdivergence]:
-    """The subdivergences of ``graph`` in (start, end) order, one at a time.
+def _subdivergences(length: int, partner: list[int], first: bool = False) -> list[Subdivergence]:
+    """The subdivergences of a graph in (start, end) order; with ``first``, at most one.
+
+    The graph is given by its path length and the partner of each vertex
+    1..length along its photon, 0 for the external photon's vertex.
 
     One sweep per start: as ``end`` moves right, the stubs of [start, end]
     (photons with one endpoint inside, plus the external photon) and the
@@ -275,16 +286,15 @@ def _subdivergences(graph: QedGraph) -> Iterator[Subdivergence]:
     start..end-1. Only the photon of vertex ``start`` spans the edge
     (start, start + 1), so a start whose photon goes left or out is skipped;
     a stub going left or out stays one, so a start stops at its second.
+    The whole graph, [1, length], is not a proper subgraph, so start 1
+    stops at length - 1.
     """
-    length = graph.path_length
-    partner = [0] * (length + 1)  # 0 marks the external photon's vertex
-    for u, v in graph.photons:
-        partner[u], partner[v] = v, u
+    found = []
     for start in range(1, length):
         if partner[start] < start:
             continue
         stubs, spanned, low, stuck = 1, 0, 1 << start, False
-        for end in range(start + 1, length + 1):
+        for end in range(start + 1, length + 1 if start > 1 else length):
             other = partner[end]
             if other > end:
                 stubs += 1
@@ -296,9 +306,11 @@ def _subdivergences(graph: QedGraph) -> Iterator[Subdivergence]:
             else:
                 stubs += 1
                 stuck = True
-            if stubs <= 1 and spanned == (1 << end) - low and (start > 1 or end < length):
-                # the whole graph, [1, length], is not a proper subgraph
-                yield Subdivergence(start, end, "propagator" if stubs == 0 else "vertex")
+            if stubs <= 1 and spanned == (1 << end) - low:
+                found.append(Subdivergence(start, end, "propagator" if stubs == 0 else "vertex"))
+                if first:
+                    return found
+    return found
 
 
 def is_one_particle_irreducible(graph: QedGraph) -> bool:
@@ -310,14 +322,21 @@ def is_primitive(graph: QedGraph) -> bool:
     """1PI, at least one loop, and free of subdivergences.
 
     Tree-level graphs (no internal photon) are the unit of the counting
-    series, not counted primitives, hence the loop requirement. The 1PI
-    test is one span mask over the photons; the subdivergence scan is the
-    sweep of ``find_subdivergences`` and stops at the first one it finds.
+    series, not counted primitives, hence the loop requirement. One loop
+    over the photons builds the partner array and the span mask of the 1PI
+    test (bit i for the edge (i, i + 1), as in ``_bridgeless``); the
+    subdivergence scan is the sweep of ``find_subdivergences`` and stops at
+    the first one it finds.
     """
-    photons = graph.photons
-    if not photons or not _bridgeless(photons, graph.path_length):
+    length, photons, _ = graph
+    partner = [0] * (length + 1)
+    spanned = 0
+    for u, v in photons:
+        partner[u], partner[v] = v, u
+        spanned |= (1 << v) - (1 << u)
+    if not spanned or spanned != (1 << length) - 2:
         return False
-    return next(_subdivergences(graph), None) is None
+    return not _subdivergences(length, partner, first=True)
 
 
 class BijectionReport(

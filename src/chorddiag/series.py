@@ -28,7 +28,7 @@ log-derivatives directly. ``log`` is the integral of f'/f, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -89,26 +89,43 @@ def truncated_product(a: Sequence, b: Sequence, n: int) -> list:
 def truncated_reciprocal(a: Sequence, n: int, out: list | None = None) -> list:
     """Coefficients 0..n of 1/a, for a list a with a nonzero constant term.
 
-    Each coefficient is minus the convolution of a with the earlier ones,
-    times 1/a0; with a0 = +-1 integer inputs give integer coefficients.
+    For an int a0 = +-1, each coefficient is minus the convolution of a
+    with the earlier ones, times 1/a0 = a0, so integer inputs give integer
+    coefficients. Otherwise the recurrence runs on ints: with a = A/d for
+    an int list A, 1/a = d/A, and B_0 = 1,
+    B_k = -sum_(j=1..k) A_j * A0^(j-1) * B_(k-j) give the coefficients
+    Fraction(d*B_k, A0^(k+1)), one division per coefficient, all Fractions.
     Given ``out``, a list of the first coefficients of 1/a, it appends the
     rest to that list and returns it.
     """
     if a[0] == 0:
         raise ValueError("no reciprocal: constant term is zero")
-    inv0 = Fraction(1) / a[0]
-    if inv0.denominator == 1 and type(a[0]) is int:
-        inv0 = inv0.numerator
     if out is None:
         out = []
-    if not out:
-        out.append(inv0)
-    for m in range(len(out), n + 1):
+    a0 = a[0]
+    if type(a0) is int and a0 in (1, -1):
+        if not out:
+            out.append(a0)
+        for m in range(len(out), n + 1):
+            acc = 0
+            for k in range(1, min(m, len(a) - 1) + 1):
+                if a[k]:
+                    acc += a[k] * out[m - k]
+            out.append(-acc * a0)
+        return out
+    ints, d = _cleared(a[: n + 1])
+    a0 = ints[0]
+    weights = [0] + [ints[j] * a0 ** (j - 1) for j in range(1, len(ints))]
+    b = [1]
+    for k in range(1, n + 1):
         acc = 0
-        for k in range(1, min(m, len(a) - 1) + 1):
-            if a[k]:
-                acc += a[k] * out[m - k]
-        out.append(-acc * inv0)
+        for j in range(1, min(k, len(ints) - 1) + 1):
+            if weights[j]:
+                acc += weights[j] * b[k - j]
+        b.append(-acc)
+    d = d or 1
+    for k in range(len(out), n + 1):
+        out.append(Fraction(d * b[k], a0 ** (k + 1)))
     return out
 
 
@@ -356,32 +373,47 @@ class PowerSeries:
     # -- composition and inverses ----------------------------------------------
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Horner evaluation of self at ``inner``; inner must have c0 = 0.
+        """self at ``inner`` by baby steps and giant steps; inner must have c0 = 0.
 
         Runs on ints. With self = c/dc and inner = g/dg for int lists c and
-        g, the Horner values h_n = c_n/dc, h_k = h_(k+1)*inner + c_k/dc
-        scale to the int lists t_k = dc*dg^(n-k)*h_k, which satisfy
-        t_k = t_(k+1)*g + dg^(n-k)*c_k; the result is t_0/(dc*dg^n), one
-        division per coefficient. Since inner = O(x), only the coefficients
-        0..n-k of h_k reach the result, so t_k is kept to that order. A
-        series of ints has d = 1, and when both are series of ints the
-        result is t_0 itself, with no division.
+        g, self(inner) = t/(dc*dg^n) for the int list t = sum_k
+        dg^(n-k)*c_k*g^k, one division per coefficient. For t (Brent and
+        Kung, J. ACM 25 (1978)), take m = isqrt(n + 1) and the baby steps
+        g^0..g^(m-1), and split the scaled coefficients into blocks of m:
+        block j is sum_i dg^(n-jm-i)*c_(jm+i)*g^i, a linear combination that
+        needs no product. Horner in the giant step G = g^m over the blocks
+        gives t. Since g = O(x), G^j = O(x^(jm)), so only the coefficients
+        0..n-jm of block j, and of the Horner value there, reach t. That
+        makes about 2*sqrt(n) truncated products instead of n. A series of
+        ints has d = 1, and when both are series of ints the result is t
+        itself, with no division.
         """
         if inner[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
         c, dc = _cleared(self._coeffs[: n + 1])  # dc, dg are None for int lists
         g, dg = _cleared(inner._coeffs[: n + 1])
-        t = [c[n]]
-        scale = 1  # dg^(n-k)
-        for k in range(n - 1, -1, -1):
-            scale *= dg or 1
-            t = truncated_product(t, g, n - k)
-            t[0] = scale * c[k]  # g[0] = 0, so the product's constant term is 0
+        if dg is not None:
+            c = [ck * dg ** (n - k) for k, ck in enumerate(c)]
+        m = isqrt(n + 1)
+        powers = [[1] + [0] * n, g]  # g^0..g^m, each to order n
+        for _ in range(m - 1):
+            powers.append(truncated_product(powers[-1], g, n))
+        giant = powers.pop()
+        t = []
+        for start in range(n - n % m, -1, -m):  # the blocks, last first
+            block = [0] * (n - start + 1)
+            for ci, power in zip(c[start : start + m], powers):
+                if ci:
+                    block = [b + ci * p for b, p in zip(block, power)]
+            if t:
+                t = truncated_product(t, giant, n - start)
+                block = [b + v for b, v in zip(block, t)]
+            t = block
         if dc is None and dg is None:
-            return PowerSeries(t)
-        d = (dc or 1) * scale
-        return PowerSeries([Fraction(v, d) for v in t])
+            return PowerSeries._of(tuple(t))
+        d = (dc or 1) * (dg or 1) ** n
+        return PowerSeries._of(tuple([Fraction(v, d) for v in t]))
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse; requires c0 != 0."""

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chorddiag import gf, oracle
-from chorddiag.cli import _emit_series, build_parser, main
+from chorddiag import gf, oracle, qft
+from chorddiag.cli import DEFAULT_ORDER_CAP, _emit_series, build_parser, main
 from chorddiag.series import PowerSeries, series_from_json_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -212,6 +212,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "bijection", "--order", "5")
         assert code == 0
         assert out.count("PASS") == 4  # n = 2..5
+
+    def test_bijection_reports_a_flipped_connectivity_check(self, capsys, monkeypatch):
+        flipped = "4: 5 6 7 8 1 2 3 4"  # 2-connected
+        original = qft.is_k_connected
+        monkeypatch.setattr(
+            qft, "is_k_connected", lambda d, k: original(d, k) != (d.to_text() == flipped)
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "bijection", "--order", "5")
+        assert code == 1
+        (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert line.startswith("FAIL bijection: n=4")
+        assert f"counterexamples: ('{flipped}',)" in line
+        assert out.count("PASS") == 3
 
     def test_bijection_with_nothing_to_check_exits_2(self, capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--suite", "bijection", "--order", "1")
@@ -469,6 +482,65 @@ class TestEstimate:
         assert "digits must be positive" in err
 
 
+# the options that set a series or image order, by command
+CAPPED_ORDERS = {"series": ["--order"], "alien": ["--order"], "estimate": ["--terms", "--n-to"]}
+
+
+class TestOrderCap:
+    ORDER_LINES = [
+        ["series", "--family", "S", "--order"],
+        ["alien", "--family", "C2", "--order"],
+        ["estimate", "--n-from", "3", "--n-to", "5", "--terms"],
+        ["estimate", "--terms", "2", "--n-from", "3", "--n-to"],
+    ]
+
+    @pytest.mark.parametrize("line", ORDER_LINES)
+    def test_one_above_the_default_cap_exits_2_naming_the_variable(
+        self, capsys, monkeypatch, line
+    ):
+        monkeypatch.delenv("CHORDDIAG_ORDER_CAP", raising=False)
+        code, out, err = run(capsys, *line, str(DEFAULT_ORDER_CAP + 1))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {line[-1]} {DEFAULT_ORDER_CAP + 1} exceeds the order cap of "
+            f"{DEFAULT_ORDER_CAP}; set CHORDDIAG_ORDER_CAP to raise it"
+        ]
+
+    @pytest.mark.parametrize(
+        "line, option",
+        [
+            (["series", "--family", "S", "--order", "6"], "--order"),
+            (["alien", "--family", "C2", "--order", "6"], "--order"),
+            (["estimate", "--terms", "6", "--n-from", "7", "--n-to", "7"], "--terms"),
+            (["estimate", "--terms", "2", "--n-from", "6", "--n-to", "6"], "--n-to"),
+        ],
+    )
+    def test_the_variable_lowers_and_raises_the_cap(self, capsys, monkeypatch, line, option):
+        monkeypatch.setenv("CHORDDIAG_ORDER_CAP", "5")
+        code, out, err = run(capsys, *line)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {option} 6 exceeds the order cap of 5; set CHORDDIAG_ORDER_CAP to raise it"
+        ]
+        monkeypatch.setenv("CHORDDIAG_ORDER_CAP", "7")
+        assert run(capsys, *line)[0] == 0
+
+    @pytest.mark.parametrize("raw", ["x", "0", "-3", ""])
+    def test_a_bad_value_exits_2_naming_the_variable(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CHORDDIAG_ORDER_CAP", raw)
+        code, out, err = run(capsys, "series", "--family", "C", "--order", "3")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: CHORDDIAG_ORDER_CAP must")
+
+    def test_verify_and_the_library_are_not_capped(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHORDDIAG_ORDER_CAP", "5")
+        code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--order", "12")
+        assert code == 0
+        assert "order 12" in out
+        assert gf.series_family("C", 12).order == 12
+
+
 class TestQft:
     def test_phi3(self, capsys):
         code, out, _ = run(capsys, "qft", "--model", "phi3", "--order", "2")
@@ -517,11 +589,19 @@ class TestQft:
         assert err.startswith("error:") and "quadratic" in err
 
 
-def _option_values(action):
-    """Argument strings for one option: its choices, small integers, or text built from them."""
+ABOVE_THE_ORDER_CAP = [str(DEFAULT_ORDER_CAP + 1), str(10**9)]
+
+
+def _option_values(action, capped=False):
+    """Argument strings for one option: its choices, small integers, or text built from them.
+
+    A ``capped`` order also draws orders above the default order cap.
+    """
     numbers = st.integers(-3, 12).map(str)
     if action.choices:
         return st.sampled_from(sorted(action.choices))
+    if capped:
+        return st.one_of(numbers, st.sampled_from(ABOVE_THE_ORDER_CAP))
     if action.type is int:
         return numbers
     return st.one_of(
@@ -549,9 +629,10 @@ def _argv(draw):
         present = st.integers(0, 7).map(bool) if action.required else st.booleans()
         if not draw(present):
             continue
-        argv.append(action.option_strings[0])
+        option = action.option_strings[0]
+        argv.append(option)
         if action.nargs != 0:
-            argv.append(draw(_option_values(action)))
+            argv.append(draw(_option_values(action, option in CAPPED_ORDERS.get(command, ()))))
     return argv
 
 
@@ -566,6 +647,7 @@ class TestExitCodeContract:
     @given(argv=_argv())
     def test_every_command_line_exits_0_1_or_2(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("CHORDDIAG_CAP", "5")
+        monkeypatch.delenv("CHORDDIAG_ORDER_CAP", raising=False)
         try:
             code = main(argv)
         except SystemExit as stop:  # argparse's usage errors
@@ -573,3 +655,5 @@ class TestExitCodeContract:
         capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert code != 1 or argv[0] == "verify", argv
+        if any(value in ABOVE_THE_ORDER_CAP for value in argv):
+            assert code == 2, argv

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from test_oracle import matchings
 
-from chorddiag import gf
+from chorddiag import gf, qft
 from chorddiag.oracle import (
     ChordDiagram,
     enumerate_diagrams,
@@ -295,6 +295,20 @@ class TestBijection:
             report = verify_bijection(n)
             assert report.passed
             assert report.primitive_count == expected
+
+    # a 2-connected diagram, and a connected one with a cut chord
+    @pytest.mark.parametrize("text", ["4: 5 6 7 8 1 2 3 4", "4: 3 5 1 7 2 8 4 6"])
+    def test_a_flipped_connectivity_check_is_reported(self, monkeypatch, text):
+        """The loop compares with what ``qft.is_k_connected`` says, diagram by diagram."""
+        flipped = ChordDiagram.from_text(text)
+        original = qft.is_k_connected
+        monkeypatch.setattr(
+            qft, "is_k_connected", lambda d, k: original(d, k) != (d == flipped)
+        )
+        report = verify_bijection(4)
+        assert not report.passed
+        assert report.counterexamples == (text,)
+        assert report.primitive_count == 7  # the graph side does not change
 
     def test_matches_two_connectivity_pointwise(self):
         for n in range(1, 5):

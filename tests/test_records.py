@@ -1,9 +1,10 @@
 """Records as named tuples, and the constructors that skip user-input checks.
 
 The library builds diagrams and graph images without re-checking them
-(``ChordDiagram._from_involution`` in the enumerator, ``QedGraph._make`` in
-``chord_to_qed``); the tests here hold those objects equal to the ones the
-validating public constructors build from the same data.
+(the enumerator's leaves, as ``ChordDiagram._from_involution`` builds them,
+and ``chord_to_qed``'s graphs, as ``QedGraph._make`` does); the tests here
+hold those objects equal to the ones the validating public constructors
+build from the same data.
 """
 
 import os

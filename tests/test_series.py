@@ -119,6 +119,24 @@ class TestCompose:
         with pytest.raises(ValueError, match="zero constant term"):
             PowerSeries([1, 1]).compose(PowerSeries([1, 1]))
 
+    # n = 0; n = 1, 2 (a block size of 1); n + 1 a perfect square (n = 3, 8,
+    # 15, 24, 35, 48); and the orders just past a square
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 15, 16, 24, 35, 48, 49])
+    @pytest.mark.parametrize("kind", [int, Fraction])
+    def test_block_edges_match_horner(self, n, kind):
+        def entry(k):
+            return (-1) ** k * (k + 2) if kind is int else Fraction((-1) ** k * (k + 2), k % 5 + 1)
+
+        f = PowerSeries([entry(k) for k in range(n + 4)])
+        g = PowerSeries([0] + [entry(k + 3) for k in range(n + 3)])
+        # the inner order below the outer one, above it, and equal to it
+        pairs = [(f, g.truncate(n)), (f.truncate(n), g), (f.truncate(n), g.truncate(n))]
+        for outer, inner in pairs:
+            got = outer.compose(inner)
+            assert got.order == n
+            assert got.coefficients == reference_compose(outer, inner).coefficients
+            assert all(type(c) is kind for c in got.coefficients)
+
 
 class TestReverse:
     def test_identity(self):
@@ -237,14 +255,14 @@ def reference_compose(f: PowerSeries, inner: PowerSeries) -> PowerSeries:
 integer_coefficients = st.integers(min_value=-20, max_value=20)
 
 
-def any_series(elements):
-    return st.integers(min_value=0, max_value=12).flatmap(
+def any_series(elements, top=12):
+    return st.integers(min_value=0, max_value=top).flatmap(
         lambda n: st.lists(elements, min_size=n + 1, max_size=n + 1)
     ).map(PowerSeries)
 
 
-def inner_series(elements):
-    return st.integers(min_value=1, max_value=12).flatmap(
+def inner_series(elements, top=12):
+    return st.integers(min_value=1, max_value=top).flatmap(
         lambda n: st.lists(elements, min_size=n, max_size=n)
     ).map(lambda tail: PowerSeries([0, *tail]))
 
@@ -358,6 +376,19 @@ class TestProperties:
         assert got.coefficients == reference_compose(f, inner).coefficients
 
     @given(
+        st.one_of(any_series(integer_coefficients, 60), any_series(small_rationals, 60)),
+        st.one_of(inner_series(integer_coefficients, 60), inner_series(small_rationals, 60)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_compose_matches_series_horner_at_high_order(self, f, inner):
+        """Orders up to 60, where a block holds up to 7 coefficients of f."""
+        got = f.compose(inner)
+        assert got.order == min(f.order, inner.order)
+        assert got.coefficients == reference_compose(f, inner).coefficients
+        ints = all(type(c) is int for c in f.coefficients + inner.coefficients)
+        assert all(type(c) is (int if ints else Fraction) for c in got.coefficients)
+
+    @given(
         st.one_of(any_series(integer_coefficients), any_series(small_rationals)),
         st.one_of(integer_coefficients, small_rationals),
     )
@@ -459,7 +490,39 @@ class TestTruncatedProduct:
         assert all(type(c) is int for c in out)
 
 
+def reference_reciprocal(a, n):
+    """1/a by the termwise recurrence b_m = -sum a_k*b_(m-k) / a_0, on Fractions."""
+    out = [1 / Fraction(a[0])]
+    for m in range(1, n + 1):
+        acc = sum(Fraction(a[k]) * out[m - k] for k in range(1, min(m, len(a) - 1) + 1))
+        out.append(-acc / a[0])
+    return out
+
+
 class TestTruncatedReciprocal:
+    @given(
+        st.one_of(
+            st.integers(min_value=-20, max_value=20).filter(lambda v: v not in (-1, 0, 1)),
+            small_rationals.filter(bool),
+        ),
+        st.one_of(
+            st.lists(integer_coefficients, max_size=40),
+            st.lists(small_rationals, max_size=40),
+        ),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_recurrence_matches_the_termwise_one(self, a0, rest, m, n):
+        """A Fraction, or an int a0 other than +-1, runs on ints and gives Fractions."""
+        a = [a0] + rest
+        whole = truncated_reciprocal(a, n)
+        assert whole == reference_reciprocal(a, n)
+        assert all(type(c) is Fraction for c in whole)
+        out = truncated_reciprocal(a, min(m, n))
+        assert truncated_reciprocal(a, n, out) is out
+        assert out == whole
+
     @given(
         st.sampled_from([1, -1]),
         int_lists,
