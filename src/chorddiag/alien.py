@@ -293,27 +293,24 @@ def image_table_series(order: int) -> dict[str, PowerSeries]:
 
     S = 1/(1 - C2/x) gives C2*S = x(S - 1), so C2*S is read off the S row
     and x^2/(C2*S) is the reciprocal of (S - 1)/x. The rows run on integer
-    lists, apart from the halving and the last row, which is the scaled
-    exponential (weight 2) of -[(S+x)^2-1]/x with its transcendental
-    constant e^-2 stripped (2 being the constant term of the row above), so
-    all entries are exact rationals. The image itself does not read them.
+    lists, apart from the halving and the last row, which is the exponential
+    of the row above it with its constant 2 stripped (the transcendental
+    e^-2), so all entries are exact rationals. The image itself does not
+    read them.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     s = gf.series_two_connected_sequences(order + 2)
     s_plus_x = [v + (k == 1) for k, v in enumerate(s.coefficients)]
     s_plus_x_sq = [gf._pair_sum(s_plus_x, k, 0) for k in range(order + 3)]
-    e = [1]
-    _extend_scaled_exp([-k * s_plus_x_sq[k + 1] for k in range(1, order + 2)], 2, order + 1, e)
+    half = PowerSeries([Fraction(v, 2) for v in s_plus_x_sq[1:]])
     return {
         "S": s,
         "(S+x)^2": PowerSeries(s_plus_x_sq),
-        "[(S+x)^2-1]/(2x)": PowerSeries([Fraction(v, 2) for v in s_plus_x_sq[1:]]),
+        "[(S+x)^2-1]/(2x)": half,
         "C2*S": (s - 1).mul_x_pow(1).truncate(order + 2),
         "x^2/(C2*S)": PowerSeries(truncated_reciprocal(s.coefficients[1:], order)),
-        "e^2*exp(-[(S+x)^2-1]/(2x))": PowerSeries(
-            [Fraction(v, 2**m * factorial(m)) for m, v in enumerate(e)]
-        ),
+        "e^2*exp(-[(S+x)^2-1]/(2x))": (half[0] - half).exp(),
     }
 
 

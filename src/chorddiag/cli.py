@@ -7,10 +7,10 @@ or precondition error.
 
 The enumeration cap defaults to 8 chords; the environment variable
 CHORDDIAG_CAP raises it (at most 10 -- (2*10-1)!! is about 6.5e8 matchings).
-The orders that series, alien and estimate compute (--order, --terms and
---n-to) are capped at 850, where the slowest of them, an alien image, takes
-about 10 s as a cold process; CHORDDIAG_ORDER_CAP raises or lowers the cap.
-The library functions and verify --order are not capped.
+The orders that series, alien, estimate and qft compute (--order, --terms
+and --n-to) are capped at 850, where the slowest of them, an alien image,
+takes about 10 s as a cold process; CHORDDIAG_ORDER_CAP raises or lowers
+the cap. The library functions and verify --order are not capped.
 """
 
 from __future__ import annotations
@@ -245,26 +245,19 @@ def _coupling(text: str) -> tuple[int, Fraction]:
 
 
 def cmd_qft(args) -> int:
+    _check_order("--order", args.order)
     if args.graph_of:
         diagram = oracle.ChordDiagram.from_text(args.graph_of)
         print(qft.chord_to_qed(diagram).to_text())
         return 0
-    if args.model == "phi3" and not args.coupling:
-        action = qft.PHI3
-    else:
-        couplings = {}
-        for item in args.coupling:
-            k, lam = _parse(_coupling, item, f"coupling {item!r}: expected K=RATIONAL")
-            if k in couplings:
-                raise UsageError(f"--coupling given twice for valency {k}")
-            couplings[k] = lam
-        if not couplings:
-            raise UsageError("custom actions need at least one --coupling K=RATIONAL")
-        a = _parse(
-            Fraction, args.quadratic, f"quadratic {args.quadratic!r}: expected RATIONAL"
-        )
-        action = qft.Action(a, couplings)
-    series = qft.partition_function(action, args.order)
+    couplings = {}
+    for item in args.coupling:
+        k, lam = _parse(_coupling, item, f"coupling {item!r}: expected K=RATIONAL")
+        if k in couplings:
+            raise UsageError(f"--coupling given twice for valency {k}")
+        couplings[k] = lam
+    a = _parse(Fraction, args.quadratic, f"quadratic {args.quadratic!r}: expected RATIONAL")
+    series = qft.partition_function(qft.Action(a, couplings or {3: 1}), args.order)
     _emit_series(series, args.format)
     return 0
 
@@ -480,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="K=RATIONAL",
-        help="potential coupling at valency K (repeatable)",
+        help="potential coupling at valency K (repeatable; without one, the cubic 3=1)",
     )
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--graph-of", metavar="DIAGRAM", help='diagram text, e.g. "2: 3 4 1 2"')

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from . import gf
 from .oracle import DEFAULT_CAP, ChordDiagram, enumerate_diagrams, is_k_connected
-from .series import PowerSeries, truncated_product
+from .series import PowerSeries, _cleared, truncated_product
 
 
 class Action(namedtuple("Action", ["a", "couplings"])):
@@ -88,38 +88,31 @@ def partition_function(action: Action, order: int) -> PowerSeries:
 
     hbar^j collects the Gaussian moments n = j..3j: moment n contributes
     sqrt(a) * a^n * (2n-1)!! * [x^(2n)] V^m / m! at m = n - j (the potential
-    starts at x^3, so [x^(2n)] V^m vanishes beyond m = 2n/3). The sqrt(a)
-    prefactor must be an exact rational, i.e. a a perfect square.
+    starts at x^3, so [x^(2n)] V^m vanishes beyond m = 2n/3, and no m above
+    2 * order reaches hbar^order). a^n * [x^(2n)] V^m is [x^(2n)] W^m for
+    W(x) = V(sqrt(a) * x), and W is cleared of denominators once, W = w/dw
+    for an int list w: W^m/m! is the int list w^m over m! * dw^m, each
+    power costs one convolution with the few nonzero terms of w, and each
+    nonzero term adds one Fraction. The sqrt(a) prefactor must be an exact
+    rational, i.e. a a perfect square.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     root_a = _sqrt_exact(action.a)
-    n_max = 3 * order
-    degree = 2 * n_max
+    degree = 6 * order
     v = action.potential_coefficients(degree)
-    # power_coeffs[m][2n] while iterating V^m
+    w, dw = _cleared([c * root_a**k if c else c for k, c in enumerate(v)])
+    double_factorials = gf.series_all_diagrams(3 * order).coefficients
     coeffs = [Fraction(0)] * (order + 1)
-    v_power = [Fraction(0)] * (degree + 1)
-    v_power[0] = Fraction(1)
-    m_factorial = 1
-    for m in range(0, 2 * n_max + 1):
+    power = [1] + [0] * degree  # w^m
+    scale = 1  # m! * dw^m
+    for m in range(2 * order + 1):
         if m:
-            v_power = truncated_product(v_power, v, degree)
-            m_factorial *= m
-            if all(c == 0 for c in v_power):
-                break
-        for n in range(m, n_max + 1):
-            j = n - m
-            if j > order:
-                continue
-            contribution = v_power[2 * n]
-            if contribution:
-                coeffs[j] += (
-                    action.a**n
-                    * gf.double_factorial_odd(n)
-                    * contribution
-                    / m_factorial
-                )
+            power = truncated_product(w, power, degree)
+            scale *= m * dw
+        for n in range(m, m + order + 1):
+            if power[2 * n]:
+                coeffs[n - m] += Fraction(double_factorials[n] * power[2 * n], scale)
     return PowerSeries([root_a * c for c in coeffs])
 
 

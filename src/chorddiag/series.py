@@ -19,10 +19,12 @@ Fraction type, for callers that want to be explicit about exact rationals.
 
 The exponential is computed in one place, ``_extend_scaled_exp``: an integer
 recurrence for w^m * m! times the coefficients of the f with f' = f * dg/w,
-f_0 = 1, dg an int list. ``exp`` clears its denominators and passes the
-derivative of its exponent; the alien images pass their integer
-log-derivatives directly. ``log`` is the integral of f'/f, and
-``pow_rational`` is exp(q * log f).
+f_0 = 1, dg an int list. ``exp`` passes the derivative of its exponent,
+cleared of denominators once, as dg: clearing the exponent instead would
+put the lcm of 1..n into w whenever the exponent is an integral (``log``
+and so ``pow_rational``), and the kernel's weights grow like w^k. The
+alien images pass their integer log-derivatives directly. ``log`` is the
+integral of f'/f, and ``pow_rational`` is exp(q * log f).
 """
 
 from __future__ import annotations
@@ -446,15 +448,20 @@ class PowerSeries:
     def exp(self) -> "PowerSeries":
         """exp of a series with zero constant term.
 
-        With self = g/d for an int list g, coefficient m is e_m/(d^m m!),
-        e the scaled exponential of g' with weight d (_extend_scaled_exp).
+        With self' = dg/w for an int list dg, coefficient m is e_m/(w^m m!),
+        e the scaled exponential of dg with weight w (_extend_scaled_exp).
+        The derivative is cleared, not the exponent: the kernel's weights
+        dg[k] * w^k grow like w^k, and an exponent that is an integral, as
+        in log and pow_rational, has every 1..n in its denominators' lcm,
+        while its derivative may have no denominator above 2.
         """
-        if self._coeffs[0] != 0:
+        c = self._coeffs
+        if c[0] != 0:
             raise ValueError("exp needs zero constant term")
-        g, d = _cleared(self._coeffs)
-        w = d or 1
+        dg, w = _cleared([k * c[k] for k in range(1, len(c))])
+        w = w or 1
         e = [1]
-        _extend_scaled_exp([k * g[k] for k in range(1, len(g))], w, self.order, e)
+        _extend_scaled_exp(dg, w, self.order, e)
         return PowerSeries._of(
             tuple(Fraction(v, w**m * factorial(m)) for m, v in enumerate(e))
         )

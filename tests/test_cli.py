@@ -483,7 +483,12 @@ class TestEstimate:
 
 
 # the options that set a series or image order, by command
-CAPPED_ORDERS = {"series": ["--order"], "alien": ["--order"], "estimate": ["--terms", "--n-to"]}
+CAPPED_ORDERS = {
+    "series": ["--order"],
+    "alien": ["--order"],
+    "estimate": ["--terms", "--n-to"],
+    "qft": ["--order"],
+}
 
 
 class TestOrderCap:
@@ -492,6 +497,7 @@ class TestOrderCap:
         ["alien", "--family", "C2", "--order"],
         ["estimate", "--n-from", "3", "--n-to", "5", "--terms"],
         ["estimate", "--terms", "2", "--n-from", "3", "--n-to"],
+        ["qft", "--order"],
     ]
 
     @pytest.mark.parametrize("line", ORDER_LINES)
@@ -513,6 +519,7 @@ class TestOrderCap:
             (["alien", "--family", "C2", "--order", "6"], "--order"),
             (["estimate", "--terms", "6", "--n-from", "7", "--n-to", "7"], "--terms"),
             (["estimate", "--terms", "2", "--n-from", "6", "--n-to", "6"], "--n-to"),
+            (["qft", "--order", "6"], "--order"),
         ],
     )
     def test_the_variable_lowers_and_raises_the_cap(self, capsys, monkeypatch, line, option):
@@ -587,6 +594,19 @@ class TestQft:
         code, _, err = run(capsys, "qft", "--quadratic", "1/0", "--coupling", "3=1")
         assert code == 2
         assert err.startswith("error:") and "quadratic" in err
+
+    def test_quadratic_without_coupling_keeps_the_cubic_potential(self, capsys):
+        code, out, _ = run(capsys, "qft", "--quadratic", "4", "--order", "3")
+        assert code == 0
+        assert out.strip() == "2, 80/3, 24640/9, 43563520/81"
+        assert run(capsys, "qft", "--quadratic", "4", "--coupling", "3=1", "--order", "3")[1] == out
+
+    @pytest.mark.parametrize("quadratic", ["2", "1/0"])
+    def test_bad_quadratic_without_coupling(self, capsys, quadratic):
+        code, out, err = run(capsys, "qft", "--quadratic", quadratic, "--order", "3")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error:")
 
 
 ABOVE_THE_ORDER_CAP = [str(DEFAULT_ORDER_CAP + 1), str(10**9)]

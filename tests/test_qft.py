@@ -31,6 +31,7 @@ from chorddiag.qft import (
     qed_to_chord,
     verify_bijection,
 )
+from chorddiag.series import PowerSeries, truncated_product
 
 
 def loop_number_cycle_rank(graph: QedGraph) -> int:
@@ -75,7 +76,54 @@ class TestAction:
             Action(0, {3: 1})
 
 
+def reference_partition_function(action: Action, order: int) -> PowerSeries:
+    """The partition function by a loop over Fraction lists, V^m one product at a time."""
+    root_a = qft._sqrt_exact(action.a)
+    n_max = 3 * order
+    degree = 2 * n_max
+    v = action.potential_coefficients(degree)
+    coeffs = [Fraction(0)] * (order + 1)
+    v_power = [Fraction(1)] + [Fraction(0)] * degree
+    m_factorial = 1
+    for m in range(0, 2 * n_max + 1):
+        if m:
+            v_power = truncated_product(v_power, v, degree)
+            m_factorial *= m
+            if all(c == 0 for c in v_power):
+                break
+        for n in range(m, n_max + 1):
+            j = n - m
+            if j > order:
+                continue
+            contribution = v_power[2 * n]
+            if contribution:
+                coeffs[j] += (
+                    action.a**n * gf.double_factorial_odd(n) * contribution / m_factorial
+                )
+    return PowerSeries([root_a * c for c in coeffs])
+
+
 class TestPartitionFunction:
+    @pytest.mark.parametrize("a", [1, 4, Fraction(1, 9)])
+    @pytest.mark.parametrize(
+        "couplings",
+        [
+            {},
+            {3: Fraction(2, 3)},
+            {4: Fraction(-1, 5)},
+            {6: Fraction(7, 2)},
+            {3: Fraction(2, 3), 4: Fraction(-1, 5), 6: Fraction(7, 2)},
+        ],
+    )
+    def test_matches_the_fraction_loop(self, a, couplings):
+        action = Action(a, couplings)
+        # coefficient j is complete at every order >= j, so one reference serves all orders
+        reference = reference_partition_function(action, 15).coefficients
+        for order in range(16):
+            got = partition_function(action, order).coefficients
+            assert got == reference[: order + 1]
+            assert all(type(c) is Fraction for c in got)
+
     def test_phi3_first_coefficients(self):
         series = partition_function(PHI3, 2)
         assert list(series.coefficients) == [1, Fraction(5, 24), Fraction(385, 1152)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chorddiag import gf
+from chorddiag import alien, gf, series
 from chorddiag.series import (
     PowerSeries,
     ReversionError,
@@ -209,6 +209,28 @@ class TestAnalytic:
         root = f.pow_rational(Fraction(1, 2))
         assert root * root == f
 
+    def test_exp_kernel_weight_stays_small_for_integrals(self, monkeypatch):
+        """exp clears the derivative of its exponent, not the exponent.
+
+        Both transport factors and pow_rational are exponentials of
+        integrals, whose denominators hold every 1..n while those of their
+        derivatives are 2; equal values cannot show which was cleared, so
+        the weight the kernel gets is checked.
+        """
+        weights = []
+        kernel = series._extend_scaled_exp
+
+        def recording(dg, w, n, e):
+            weights.append(w)
+            kernel(dg, w, n, e)
+
+        monkeypatch.setattr(series, "_extend_scaled_exp", recording)
+        t = gf.connected_sq_div_x(60)
+        for beta in (alien.BETA_HALF, alien.BETA_THREE_HALVES):
+            alien._exp_transport_factor(t, beta)
+        gf.series_connected(61).div_x_pow(1).pow_rational(Fraction(1, 2))
+        assert weights == [2, 2, 2]
+
     def test_order_zero(self):
         assert typed(PowerSeries([0]).exp()) == [(Fraction, 1)]
         assert typed(PowerSeries([1]).log()) == [(Fraction, 0)]
@@ -398,6 +420,13 @@ class TestProperties:
         assert typed(tail.exp()) == typed(reference_exp(tail))
         assert typed(unit.log()) == typed(reference_log(unit))
         assert typed(unit.pow_rational(q)) == typed(reference_exp(reference_log(unit) * q))
+
+    @given(any_series(integer_coefficients, 40), st.one_of(integer_coefficients, small_rationals))
+    @settings(max_examples=20, deadline=None)
+    def test_exp_of_an_integral_matches_the_termwise_recurrence(self, f, q):
+        """q * log f is an integral, with every 1..n among its denominators."""
+        exponent = (f - f[0] + 1).log() * q
+        assert typed(exponent.exp()) == typed(reference_exp(exponent))
 
     @given(st.one_of(inner_series(integer_coefficients), inner_series(small_rationals)))
     @settings(max_examples=40, deadline=None)
