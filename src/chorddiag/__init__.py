@@ -42,7 +42,6 @@ from .oracle import (
     ChordDiagram,
     Decomposition,
     DecompositionCase,
-    IntersectionGraph,
     Reason,
     census_backend,
     class_census,
@@ -78,7 +77,6 @@ __all__ = [
     "Decomposition",
     "DecompositionCase",
     "HighPrecisionDecimal",
-    "IntersectionGraph",
     "PHI3",
     "PowerSeries",
     "QedGraph",

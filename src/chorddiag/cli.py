@@ -466,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("qft", help="partition functions and graph images")
-    p.add_argument("--model", choices=["phi3"], default="phi3")
     p.add_argument("--quadratic", default="1", help="quadratic coefficient a")
     p.add_argument(
         "--coupling",

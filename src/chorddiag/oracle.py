@@ -20,8 +20,8 @@ a cut chord.
 from __future__ import annotations
 
 import enum
+import os
 from collections import namedtuple
-from functools import partial
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -180,37 +180,6 @@ def _spans(masks: Sequence[int], keep: int) -> bool:
         seen |= grown
         frontier = (frontier ^ low) | grown
     return seen == keep
-
-
-class IntersectionGraph:
-    """Graph on the chords of a diagram with an edge for every crossing.
-
-    ``masks[c]`` has bit d set when chord c crosses chord d, as
-    ``_crossing_masks`` builds them. The module's predicates run on those
-    masks straight from the pairing and build no graph object; this class
-    is for callers that want the graph itself, its edges or its chords.
-    """
-
-    __slots__ = ("_diagram", "masks")
-
-    def __init__(self, diagram: ChordDiagram):
-        self._diagram = diagram
-        self.masks = tuple(_crossing_masks(diagram.pairing))
-
-    @property
-    def chords(self) -> tuple[tuple[int, int], ...]:
-        return self._diagram.chords()
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i, mask in enumerate(self.masks)
-            for j in range(i + 1, mask.bit_length())
-            if mask >> j & 1
-        )
-
-    def is_connected(self) -> bool:
-        return _spans(self.masks, (1 << len(self.masks)) - 1)
 
 
 def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[ChordDiagram]:
@@ -487,11 +456,11 @@ def class_census(
     """Counts of all / connected / 2-connected diagrams on n chords.
 
     The brute-force cross-check for the generating series, through the
-    active kernel as ``_census`` describes. ``workers`` only chooses
-    threads: with ``workers`` > 1 on the compiled backend, which releases
-    the GIL, the partitions run on a pool of ``workers`` threads; otherwise,
-    and always on the python backend, whose threads could not overlap, they
-    run one after another in the calling thread.
+    active kernel as ``_census`` describes. With ``workers`` > 1 the walked
+    partitions are split into min(``workers``, partitions) shares on either
+    kernel: the calling process runs the first, and each other share runs
+    in a forked child process. Where ``os.fork`` is missing (Windows) the
+    shares run one after another.
     """
     total, connected, two_connected = _census(n, 2, cap, root_partner, workers)
     return {"all": total, "connected": connected, "2connected": two_connected}
@@ -530,18 +499,72 @@ def _census(
     if k > max(n, 2):
         return (0,)
     if root_partner or n == 0:
-        partners, weights = (root_partner,), (1,)
+        pairs = [(root_partner, 1)]
     else:
-        partners, weights = range(2, n + 2), (2,) * (n - 1) + (1,)
-    part = partial(_census_impl.class_census, n, k=k)
-    if workers > 1 and len(partners) > 1 and _census_impl is not _census_py:
-        from concurrent.futures import ThreadPoolExecutor
+        pairs = [(rp, 2) for rp in range(2, n + 1)] + [(n + 1, 1)]
+    count = min(workers, len(pairs)) if hasattr(os, "fork") else 1
+    shares = [pairs[i::count] for i in range(count)]
+    return tuple(map(sum, zip(*_run_shares(n, k, shares))))
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(part, partners))
-    else:
-        parts = list(map(part, partners))
-    return tuple(sum(w * count for w, count in zip(weights, column)) for column in zip(*parts))
+
+def _share_counts(n: int, k: int, share: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The kernel's counts over (root partner, weight) pairs, weighted and summed."""
+    parts = [_census_impl.class_census(n, rp, k=k) for rp, _ in share]
+    return tuple(sum(w * c for (_, w), c in zip(share, column)) for column in zip(*parts))
+
+
+def _run_shares(n: int, k: int, shares: list) -> list[tuple[int, ...]]:
+    """The counts of each share: the first run here, every other in a forked child.
+
+    A child runs only the kernel, which takes no lock that another thread
+    of the caller could hold at the fork. It writes its counts to a pipe as
+    text and leaves with ``os._exit``, so nothing of the caller's (buffered
+    output, atexit hooks, a test runner's frames) runs twice. The parent
+    reads each pipe to its end and reaps the child, and a nonzero exit
+    status raises. When anything raises first, the ``finally`` kills and
+    reaps every child not yet reaped.
+    """
+    children = []  # (pid, read end of its pipe), oldest first
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    # a few hundred bytes at most: one write below PIPE_BUF is never split
+                    os.write(write, " ".join(map(str, _share_counts(n, k, share))).encode())
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, os.fdopen(read)))
+        results = [_share_counts(n, k, shares[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                text = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                raise RuntimeError(
+                    f"a census share exited with status {os.waitstatus_to_exitcode(status)}"
+                )
+            results.append(tuple(map(int, text.split())))
+        return results
+    finally:
+        if children:
+            from signal import SIGKILL
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionCase, int]:

@@ -550,9 +550,17 @@ class TestOrderCap:
 
 class TestQft:
     def test_phi3(self, capsys):
-        code, out, _ = run(capsys, "qft", "--model", "phi3", "--order", "2")
+        code, out, _ = run(capsys, "qft", "--order", "2")
         assert code == 0
         assert out.strip() == "1, 5/24, 385/1152"
+
+    def test_model_is_no_longer_an_option(self, capsys):
+        # the cubic potential is the default of --coupling, so --model selected nothing
+        with pytest.raises(SystemExit) as info:
+            main(["qft", "--model", "phi3", "--order", "2"])
+        assert info.value.code == 2
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments: --model phi3" in err
 
     def test_custom_action(self, capsys):
         code, out, _ = run(
@@ -568,9 +576,7 @@ class TestQft:
         assert out.strip() == "3: 1-3 r2"
 
     def test_phi3_json(self, capsys):
-        code, out, _ = run(
-            capsys, "qft", "--model", "phi3", "--order", "1", "--format", "json"
-        )
+        code, out, _ = run(capsys, "qft", "--order", "1", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["coefficients"] == [

@@ -1,6 +1,9 @@
 """Diagram oracle: enumeration, connectivity, cut witnesses, decomposition."""
 
+import os
+import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from chorddiag.oracle import (
     CapExceededError,
     ChordDiagram,
     DecompositionCase,
-    IntersectionGraph,
+    _crossing_masks,
     crossing,
     decompose_connected,
     enumerate_diagrams,
@@ -140,9 +143,8 @@ class TestConnectivity:
         assert got == 248
 
     def test_intersection_graph(self):
-        graph = IntersectionGraph(CROSSING)
-        assert graph.edges() == ((0, 1),)
-        assert IntersectionGraph(NESTED).edges() == ()
+        assert _crossing_masks(CROSSING.pairing) == [0b10, 0b01]
+        assert _crossing_masks(NESTED.pairing) == [0, 0]
 
 
 def pairwise_crossings(diagram):
@@ -168,26 +170,28 @@ matchings = st.integers(min_value=1, max_value=12).flatmap(
 ).map(shuffled_matching)
 
 
+def crossing_bits(diagram):
+    """The ordered chord pairs (i, j) whose bit j ``_crossing_masks`` sets in mask i."""
+    masks = _crossing_masks(diagram.pairing)
+    assert len(masks) == diagram.n, diagram.to_text()
+    return {(i, j) for i, mask in enumerate(masks) for j in range(mask.bit_length()) if mask >> j & 1}
+
+
+def both_ways(edges):
+    return {*edges, *((j, i) for i, j in edges)}
+
+
 class TestCrossingMasks:
     def test_edges_match_pairwise_crossing_exhaustively(self):
         for n in range(0, 7):
             for diagram in enumerate_diagrams(n):
-                graph = IntersectionGraph(diagram)
-                assert graph.chords == diagram.chords()
                 edges = pairwise_crossings(diagram)
-                assert graph.edges() == edges, diagram.to_text()
-                bits = {
-                    (i, j)
-                    for i, mask in enumerate(graph.masks)
-                    for j in range(diagram.n)
-                    if mask >> j & 1
-                }
-                assert bits == {*edges, *((j, i) for i, j in edges)}, diagram.to_text()
+                assert crossing_bits(diagram) == both_ways(edges), diagram.to_text()
 
     @given(matchings)
     @settings(max_examples=300, deadline=None)
     def test_edges_and_two_connectivity_on_shuffled_matchings(self, diagram):
-        assert IntersectionGraph(diagram).edges() == pairwise_crossings(diagram)
+        assert crossing_bits(diagram) == both_ways(pairwise_crossings(diagram))
         assert is_k_connected(diagram, 2) == (
             is_connected(diagram)
             and diagram.n >= 2
@@ -637,7 +641,7 @@ class TestCensusBackends:
                 oracle.class_census(4, **kwargs)
         assert oracle.class_census(4, root_partner=3, workers=1)["all"] == 15
 
-    def test_compiled_partitions_on_threads_n8(self, compiled_census, monkeypatch):
+    def test_compiled_partitions_on_processes_n8(self, compiled_census, monkeypatch):
         from chorddiag import gf
 
         monkeypatch.setattr(oracle, "_census_impl", compiled_census)
@@ -652,3 +656,79 @@ class TestCensusBackends:
             oracle.class_census(9)
         with pytest.raises(CapExceededError):
             oracle.k_connected_census(9, 2)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCensusShares:
+    """``workers`` > 1 splits the walked partitions across forked processes."""
+
+    def test_shares_match_the_serial_driver(self, census_kernels, monkeypatch):
+        for kernel in census_kernels:
+            monkeypatch.setattr(oracle, "_census_impl", kernel)
+            for n in range(0, 9):
+                # a python walk at n = 8 takes 0.2-0.5 s, so there only k = 2
+                ks = (2,) if n == 8 and kernel is _census_py else (1, 2, 3, 4)
+                serial = {k: oracle._census(n, k, None) for k in ks}
+                total, connected, two_connected = serial[2]
+                for workers in (2, 3, n + 5):
+                    assert oracle.class_census(n, workers=workers) == {
+                        "all": total, "connected": connected, "2connected": two_connected
+                    }, (kernel.__name__, n, workers)
+                    for k in set(ks) - {2}:
+                        got = oracle._census(n, k, None, workers=workers)
+                        assert got == serial[k], (kernel.__name__, n, k, workers)
+        assert_no_child_left()
+
+    def test_one_fork_per_share_after_the_first(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        # n = 0 and n = 3 walk 1 and 3 partitions; k = 4 > max(3, 2) walks none
+        for n, k, workers, expected in (
+            (0, 2, 2, 0), (3, 2, 1, 0), (3, 2, 2, 1), (3, 2, 3, 2), (3, 2, 4, 2), (3, 4, 4, 0),
+        ):
+            forks.clear()
+            oracle._census(n, k, None, workers=workers)
+            assert len(forks) == expected, (n, k, workers)
+        assert_no_child_left()
+
+    def test_failing_child_raises(self, monkeypatch):
+        def kernel(n, rp, k):  # n = 4 in two shares: rp 2, 4 here and rp 3, 5 in the child
+            if rp == 3:
+                raise ZeroDivisionError("planted")
+            return _census_py.class_census(n, rp, k)
+
+        monkeypatch.setattr(oracle, "_census_impl", SimpleNamespace(class_census=kernel))
+        with pytest.raises(RuntimeError, match="census share exited with status 1"):
+            oracle.class_census(4, workers=2)
+        assert_no_child_left()
+
+    def test_failing_parent_kills_and_reaps_every_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def kernel(n, rp, k):  # n = 4 in three shares: rp 2, 5 here, rp 3 and rp 4 in children
+            if os.getpid() == parent:
+                raise ZeroDivisionError("planted")
+            time.sleep(60)
+
+        monkeypatch.setattr(oracle, "_census_impl", SimpleNamespace(class_census=kernel))
+        start = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="planted"):
+            oracle.class_census(4, workers=3)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert_no_child_left()
+
+    def test_serial_without_fork(self, monkeypatch):
+        expected = oracle.class_census(6)
+        monkeypatch.delattr(os, "fork")
+        assert oracle.class_census(6, workers=3) == expected
+        assert oracle._census(6, 3, None, workers=4) == _census_py.class_census(6, 0, 3)

@@ -304,12 +304,20 @@ class TestClaimCrossChecks:
                 has_vertex = any(s.kind == "vertex" for s in subs)
                 assert has_vertex == bool(find_reasons_connectivity1(diagram))
 
-    def test_irreducibility_iff_connected(self):
+    def test_connected_diagram_gives_1pi_image(self):
         for n in range(1, 6):
             for diagram in enumerate_diagrams(n):
                 graph = chord_to_qed(diagram)
                 if is_connected(diagram):
                     assert is_one_particle_irreducible(graph)
+
+    def test_1pi_image_counts_pinned(self):
+        # more than the connected counts 1, 1, 4, 27, 248, 2830: the converse fails
+        counts = [
+            sum(is_one_particle_irreducible(chord_to_qed(d)) for d in enumerate_diagrams(n))
+            for n in range(1, 7)
+        ]
+        assert counts == [1, 1, 6, 50, 518, 6354]
 
 
 class TestFirstHit:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorddiag import alien, gf, series
@@ -402,12 +402,19 @@ class TestProperties:
         st.one_of(inner_series(integer_coefficients, 60), inner_series(small_rationals, 60)),
     )
     @settings(max_examples=20, deadline=None)
+    @example(f=PowerSeries([0]), inner=PowerSeries([0, Fraction(0)]))
     def test_compose_matches_series_horner_at_high_order(self, f, inner):
-        """Orders up to 60, where a block holds up to 7 coefficients of f."""
+        """Orders up to 60, where a block holds up to 7 coefficients of f.
+
+        Like ``*`` and ``+``, ``compose`` reads both inputs only up to their
+        common order, so only those coefficients decide the result's type.
+        """
         got = f.compose(inner)
-        assert got.order == min(f.order, inner.order)
+        order = min(f.order, inner.order)
+        assert got.order == order
         assert got.coefficients == reference_compose(f, inner).coefficients
-        ints = all(type(c) is int for c in f.coefficients + inner.coefficients)
+        used = f.coefficients[: order + 1] + inner.coefficients[: order + 1]
+        ints = all(type(c) is int for c in used)
         assert all(type(c) is (int if ints else Fraction) for c in got.coefficients)
 
     @given(
