@@ -18,7 +18,8 @@ x^4/C2^2 = (1 - x)^2 + x^2 * rho for the 2-connected one. So f is one
 scaled exponential, and n! * 2^n times its n-th coefficient is an integer
 (see series._extend_scaled_exp, the one exponential kernel, which
 PowerSeries.exp runs too); the only division is the last one, by n! * 2^n.
-The connected image reads C^2/x alone and the 2-connected one C2 alone.
+The connected image reads C^2/x alone and the 2-connected one C2^2 alone,
+each kept by its family's recurrence.
 Each image keeps its integer rows in one ``gf.GrowOnly`` cache, so a larger
 order extends them.
 
@@ -92,22 +93,28 @@ def exp_with_constant(f: PowerSeries) -> tuple[Fraction, PowerSeries]:
     return Fraction(c0), (f - c0).exp()
 
 
-def _extend_connected_image(
-    order: int, inverse: list[int], e: list[int], series: list[Fraction]
+def _extend_image(
+    quotient: list[int], x2: int, name: str, family: str,
+    order: int, inverse: list[int], e: list[int], series: list[Fraction],
 ) -> None:
-    """The integer rows of the connected closed form, grown to ``order``.
+    """An image's integer rows, grown to ``order``.
 
-    x^2/C^2, the reciprocal of (C^2/x)/x, reaches order + 1; it is
-    1 - 2x + x^2 * rho, and the image's series part f solves 2f'/f = rho,
-    so e is the scaled exponential (weight 2) of rho. C^2/x is read through
-    gf's public builder.
+    ``inverse``, the reciprocal of ``quotient``, reaches order + 1 and is
+    1 - 2x + x^2 * (x2 + rho); the image's series part f solves
+    2f'/f = rho, so e is the scaled exponential (weight 2) of rho.
     """
-    t = gf.connected_sq_div_x(order + 2).coefficients
-    truncated_reciprocal(t[1:], order + 1, inverse)
+    truncated_reciprocal(quotient, order + 1, inverse)
     if inverse[:2] != [1, -2]:
-        raise AssertionError("x^2/C^2 must start 1 - 2x for the connected family")
-    _extend_scaled_exp(inverse[2:], 2, order, e)
+        raise AssertionError(f"{name} must start 1 - 2x for the {family} family")
+    rho = [v - (k == 0) * x2 for k, v in enumerate(inverse[2:])]
+    _extend_scaled_exp(rho, 2, order, e)
     series.extend(Fraction(e[m], 2**m * factorial(m)) for m in range(len(series), order + 1))
+
+
+def _extend_connected_image(order: int, *rows: list) -> None:
+    """x^2/C^2 = 1 - 2x + x^2 * rho, the reciprocal of (C^2/x)/x."""
+    t = gf.connected_sq_div_x(order + 2).coefficients
+    _extend_image(t[1:], 0, "x^2/C^2", "connected", order, *rows)
 
 
 _connected_image = gf.GrowOnly(_extend_connected_image, [], [1], [])
@@ -129,33 +136,13 @@ def alien_connected(order: int) -> AsymptoticImage:
     return AsymptoticImage(Fraction(-1), -1, PowerSeries._of(tuple(series[: order + 1])))
 
 
-def _extend_two_connected_image(
-    order: int,
-    inverse: list[int],
-    inverse_sq: list[int],
-    e: list[int],
-    series: list[Fraction],
-) -> None:
-    """The integer rows of the 2-connected closed form, grown to ``order``.
-
-    x^2/C2, the reciprocal of C2/x^2, and its square x^4/C2^2 reach
-    order + 1; x^4/C2^2 is (1 - x)^2 + x^2 * rho, and the image's series
-    part f solves 2f'/f = rho, so e is the scaled exponential (weight 2) of
-    rho. C2, read through gf's public builder, is the only series the image
-    needs.
-    """
-    y = gf.series_two_connected(order + 3).coefficients
-    truncated_reciprocal(y[2:], order + 1, inverse)
-    for k in range(len(inverse_sq), order + 2):
-        inverse_sq.append(gf._pair_sum(inverse, k, 0))
-    if inverse_sq[:2] != [1, -2]:
-        raise AssertionError("x^4/C2^2 must start 1 - 2x for the 2-connected family")
-    rho = [v - (k == 0) for k, v in enumerate(inverse_sq[2:])]
-    _extend_scaled_exp(rho, 2, order, e)
-    series.extend(Fraction(e[m], 2**m * factorial(m)) for m in range(len(series), order + 1))
+def _extend_two_connected_image(order: int, *rows: list) -> None:
+    """x^4/C2^2 = (1 - x)^2 + x^2 * rho, from C2^2 as C2's recurrence keeps it."""
+    sq = gf.two_connected_sq(order + 5).coefficients
+    _extend_image(sq[4:], 1, "x^4/C2^2", "2-connected", order, *rows)
 
 
-_two_connected_image = gf.GrowOnly(_extend_two_connected_image, [], [], [1], [])
+_two_connected_image = gf.GrowOnly(_extend_two_connected_image, [], [1], [])
 
 
 @_two_connected_image.serves

@@ -92,18 +92,21 @@ def _exp_fraction(q: Fraction, digits: int) -> Fraction:
 
     Taylor partial sums; for K > 2|q| the remainder after the x^K term is
     below twice the first omitted term, so summing until that term drops
-    under the target bound (scaled by e^-|q| >= 4^-|q|) suffices.
+    under the target bound (scaled by e^-|q| >= 4^-|q|) suffices. With
+    q = a/b the loop runs on integers: the partial sum is total / (b^k k!)
+    and the k-th term a^k / (b^k k!), with one Fraction at the end.
     """
-    tolerance = Fraction(1, 10 ** (digits + 2)) / (4 ** (abs(q).__ceil__() + 1))
-    total = Fraction(1)
-    term = Fraction(1)
+    a, b = q.numerator, q.denominator
+    bound = 10 ** (digits + 2) * 4 ** (abs(q).__ceil__() + 1)
+    total = power = denominator = 1
     k = 0
     while True:
         k += 1
-        term = term * q / k
-        total += term
-        if k > 2 * abs(q) and abs(term) < tolerance:
-            return total
+        power *= a
+        denominator *= b * k
+        total = total * b * k + power
+        if k * b > 2 * abs(a) and abs(power) * bound < denominator:
+            return Fraction(total, denominator)
 
 
 def _arctan_inverse(m: int, digits: int) -> Fraction:

@@ -19,11 +19,13 @@ functional_relation_residual, check_substitution_inverse and
 verify_derivative_identity check the differential equation's output against
 the paper's relation instead of restating it.
 
-All series are exact, computed on int lists and served as int PowerSeries
-with no conversion. Each family keeps one list (a ``GrowOnly`` cache),
-extended in place when a larger order is asked for: every coefficient
-depends only on earlier ones, so a smaller order is served as a prefix of
-the list and a larger one computes only the coefficients it adds.
+All series are exact, computed on int lists at one convolution per
+coefficient (C^2/x and C2^2 are read off the recurrences of C and C2,
+which sum them, and S has its own) and served as int PowerSeries with no
+conversion. Each family keeps one list (a ``GrowOnly`` cache), extended in
+place when a larger order is asked for: every coefficient depends only on
+earlier ones, so a smaller order is served as a prefix of the list and a
+larger one computes only the coefficients it adds.
 PowerSeries values are immutable, so results are safe to share.
 """
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import namedtuple
 
-from .series import PowerSeries, truncated_reciprocal
+from .series import PowerSeries
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
@@ -156,31 +158,32 @@ def series_connected(order: int) -> PowerSeries:
 
 
 def _extend_connected_sq_div_x(order: int, t: list[int]) -> None:
-    c = _connected.grow(order + 1)[0]
+    c = series_connected(order + 1).coefficients
     for k in range(len(t), order + 1):
-        t.append(_pair_sum(c, k + 1))  # C_0 = 0: coefficient k + 1 of C^2
+        t_k, rest = divmod(c[k + 1], k)
+        if rest:
+            raise AssertionError(f"C^2/x needs C_{k + 1} divisible by {k} for the connected family")
+        t.append(t_k)
 
 
-_connected_sq_div_x = GrowOnly(_extend_connected_sq_div_x, [])
+_connected_sq_div_x = GrowOnly(_extend_connected_sq_div_x, [0])
 
 
 @_connected_sq_div_x.serves
 def connected_sq_div_x(order: int) -> PowerSeries:
-    """C^2/x, the inner series relating connected and 2-connected counts."""
+    """C^2/x relates connected and 2-connected counts; its x^k term is C_{k+1}/k."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     return _connected_sq_div_x.series(order)
 
 
-def _extend_two_connected(order: int, y: list[int]) -> None:
-    pair_sum = _pair_sum(y, len(y), 2)
+def _extend_two_connected(order: int, p: list[int], y: list[int]) -> None:
     for m in range(len(y), order + 1):
-        next_pair_sum = _pair_sum(y, m + 1, 2)
-        y.append(-2 * y[m - 1] + m * next_pair_sum + pair_sum)
-        pair_sum = next_pair_sum
+        p.append(_pair_sum(y, m + 1, 2))
+        y.append(-2 * y[m - 1] + m * p[m + 1] + p[m])
 
 
-_two_connected = GrowOnly(_extend_two_connected, [0, 0, 1])
+_two_connected = GrowOnly(_extend_two_connected, [0, 0, 0, 0], [0, 0, 1])
 
 
 @_two_connected.serves
@@ -194,14 +197,22 @@ def series_two_connected(order: int) -> PowerSeries:
 
         y_m = -2*y_{m-1} + m * P_{m+1} + P_m,
 
-    where P_k sums y_i * y_j over i + j = k (only i, j >= 2 contribute).
-    P_{m+1} reaches only up to y_{m-1}, and it is the P_m of the next step,
-    so each coefficient costs one convolution of integers; growing the list
-    costs one more, for the P_m of its first new coefficient.
+    where P_k = [x^k]C2^2 (only y_i, i >= 2, contribute). P_{m+1} reaches
+    only up to y_{m-1}, so each coefficient costs one convolution of
+    integers; ``two_connected_sq`` serves the P_k, kept one index ahead.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     return _two_connected.series(order)
+
+
+@_two_connected.serves
+def two_connected_sq(order: int) -> PowerSeries:
+    """C2^2, the P_k of C2's recurrence; order n grows C2 to n - 1."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    p = _two_connected.grow(max(order - 1, 2))[0]
+    return PowerSeries._of(tuple(p[: order + 1]))
 
 
 def series_connectivity_one(order: int) -> PowerSeries:
@@ -209,24 +220,25 @@ def series_connectivity_one(order: int) -> PowerSeries:
     if order < 1:
         raise ValueError("order must be at least 1")
     c = _connected.grow(order)[0]
-    y = _two_connected.grow(order)[0]
+    y = _two_connected.grow(order)[-1]
     return PowerSeries([c[n] - y[n] for n in range(order + 1)])
 
 
 def _extend_sequences(order: int, s: list[int]) -> None:
-    y = _two_connected.grow(order + 1)[0]
-    one_minus = [1] + [-v for v in y[2 : order + 2]]  # 1 - C2/x, as y_1 = 0
-    truncated_reciprocal(one_minus, order, s)
+    for m in range(len(s), order + 1):
+        s.append(s[m - 1] + (m - 1) * _pair_sum(s, m))
 
 
-_sequences = GrowOnly(_extend_sequences, [])
+_sequences = GrowOnly(_extend_sequences, [1, 1])
 
 
 @_sequences.serves
 def series_two_connected_sequences(order: int) -> PowerSeries:
     """S = 1/(1 - C2/x): sequences of 2-connected diagrams, one less chord each.
 
-    1 - C2/x has constant term 1, so its reciprocal stays on the integers.
+    y = C2 = x(1 - 1/S) turns C2's equation into 2xS'(S - 1) = S(S - 1 - x),
+    whose coefficients, symmetrised, give S_0 = S_1 = 1 and
+    S_m = S_{m-1} + (m-1) * sum(S_i * S_{m-i}, i=1..m-1): S grows no C2.
     """
     if order < 1:
         raise ValueError("order must be at least 1")

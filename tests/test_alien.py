@@ -112,17 +112,17 @@ class TestTwoConnectedImage:
             assert got == tuple(Fraction(e) for e in expected), name
 
     def test_wrong_exponent_constant_raises(self, monkeypatch):
-        y = gf.series_two_connected
-        monkeypatch.setattr(gf, "series_two_connected", lambda order: 2 * y(order))
+        sq = gf.two_connected_sq
+        monkeypatch.setattr(gf, "two_connected_sq", lambda order: 2 * sq(order))
         alien_two_connected.cache_clear()
         with pytest.raises(AssertionError, match="x\\^4/C2\\^2 .* 2-connected family"):
             alien_two_connected(5)
 
     def test_failed_build_leaves_no_half_grown_state(self, monkeypatch):
-        y = gf.series_two_connected
-        cubic = PowerSeries([0, 0, 0, 1])  # C2/x^2 = 1 + 2x + ...: x^4/C2^2 starts 1 - 4x
+        sq = gf.two_connected_sq
+        # C2^2/x^4 = 1 + 4x + ...: x^4/C2^2 starts 1 - 4x
         with monkeypatch.context() as patch:
-            patch.setattr(gf, "series_two_connected", lambda order: y(order) + cubic)
+            patch.setattr(gf, "two_connected_sq", lambda order: sq(order) + 2 * PowerSeries.x(order) ** 5)
             alien_two_connected.cache_clear()
             with pytest.raises(AssertionError, match="2-connected family"):
                 alien_two_connected(5)

@@ -73,6 +73,22 @@ class TestConstants:
             1, 10**8
         )
 
+    @pytest.mark.parametrize(
+        "q, digits",
+        [(Fraction(-2), 40), (Fraction(7, 3), 25), (Fraction(-5, 2), 60), (Fraction(0), 5),
+         (Fraction(-13, 4), 12), (Fraction(20), 30), (Fraction(1), 200)],
+    )
+    def test_exp_fraction_is_the_termwise_sum(self, q, digits):
+        # the same Taylor partial sum and stopping rule, on Fractions term by term
+        tolerance = Fraction(1, 10 ** (digits + 2)) / (4 ** (abs(q).__ceil__() + 1))
+        total = term = Fraction(1)
+        k = 0
+        while not (k > 2 * abs(q) and abs(term) < tolerance):
+            k += 1
+            term = term * q / k
+            total += term
+        assert asymptotics._exp_fraction(q, digits) == total
+
     def test_digit_validation(self):
         with pytest.raises(ValueError):
             const_e(0)

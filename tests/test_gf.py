@@ -115,12 +115,46 @@ class TestTwoConnectedRoutes:
         assert residual.is_zero()
 
     def test_sequences_equal_fraction_reciprocal(self):
-        for order in range(1, 101):
+        # S comes from its own recurrence; 1/(1 - C2/x) is its definition
+        for order in (*range(1, 101), 300):
             c2_over_x = gf.series_two_connected(order + 1).div_x_pow(1)
             one_minus = PowerSeries.one(order) - c2_over_x
             s = gf.series_two_connected_sequences(order)
             assert s == one_minus.reciprocal(), order
         assert s * one_minus == PowerSeries.one(order)
+
+    def test_sequences_differential_equation(self):
+        # 2xS'(S - 1) = S(S - 1 - x), the equation S's recurrence solves
+        order = 80
+        s = gf.series_two_connected_sequences(order + 1)
+        x = PowerSeries.x(order)
+        lhs = 2 * x * s.derivative() * (s.truncate(order) - 1)
+        assert lhs == s.truncate(order) * (s.truncate(order) - 1 - x)
+
+
+class TestSquaresFromRecurrences:
+    """C^2/x and C2^2 are read off the recurrences; these pin them to products."""
+
+    ORDER = 300
+
+    def test_connected_sq_div_x_is_the_product(self):
+        c = gf.series_connected(self.ORDER + 1)
+        assert gf.connected_sq_div_x(self.ORDER) == (c * c).div_x_pow(1)
+
+    def test_two_connected_sq_is_the_product(self):
+        y = gf.series_two_connected(self.ORDER)
+        assert gf.two_connected_sq(self.ORDER) == y * y
+        assert gf.two_connected_sq(self.ORDER).coefficients[:6] == (0, 0, 0, 0, 1, 2)
+
+    def test_division_guard_names_the_connected_family(self, monkeypatch):
+        c = gf.series_connected
+        monkeypatch.setattr(gf, "series_connected", lambda order: c(order) + PowerSeries.x(order) ** 5)
+        gf.connected_sq_div_x.cache_clear()
+        with pytest.raises(AssertionError, match="C_5 divisible by 4 for the connected family"):
+            gf.connected_sq_div_x(10)
+        assert gf.connected_sq_div_x.cache_info().currsize == 1  # the seed t_0 = 0
+        monkeypatch.undo()
+        assert ints(gf.connected_sq_div_x(6)) == [0, 1, 2, 9, 62, 566, 6372]
 
 
 class TestDerivativeIdentity:
@@ -202,7 +236,12 @@ CACHED = {
     "image C": (alien.alien_connected, 1),
     "image C2": (alien.alien_two_connected, 0),
 }
-BUILDERS = {**CACHED, "C1": (gf.series_connectivity_one, 1)}
+# C1 reads the caches of C and C2, and C2^2 shares the cache of C2.
+BUILDERS = {
+    **CACHED,
+    "C1": (gf.series_connectivity_one, 1),
+    "C2^2": (gf.two_connected_sq, 0),
+}
 
 
 def clear_all_caches():
@@ -282,8 +321,11 @@ class TestGrowOnly:
         assert pair_sums == list(range(41, 61))
         pair_sums.clear()
         gf.series_two_connected(60)
-        # P_41 once at the seam, then P_{m+1} for each new coefficient m = 41..60
-        assert pair_sums == list(range(41, 62))
+        # P_{m+1} for each new coefficient m = 41..60, and nothing at the seam
+        assert pair_sums == list(range(42, 62))
+        pair_sums.clear()
+        gf.two_connected_sq(61)  # kept by C2's recurrence: no pair sum at all
+        assert pair_sums == []
         alien.alien_connected(40)
         gf.connected_sq_div_x(62)  # the image's input at 60, grown beforehand
         falling_sums.clear()
@@ -293,12 +335,22 @@ class TestGrowOnly:
         for build in (gf.series_two_connected, alien.alien_connected):
             assert build.cache_info().currsize == 61
 
+    def test_sequences_and_two_connected_image_square_nothing(self, monkeypatch):
+        clear_all_caches()
+        gf.series_two_connected_sequences(60)
+        assert gf.series_two_connected.cache_info().currsize == 3  # S grows no C2
+        gf.two_connected_sq(65)  # the image's input at 60, grown beforehand
+        pair_sums = []
+        monkeypatch.setattr(gf, "_pair_sum", lambda *args: pair_sums.append(args))
+        alien.alien_two_connected(60)
+        assert pair_sums == []
+
     def test_cache_info_counts_a_miss_exactly_when_the_list_grows(self):
         clear_all_caches()
         for name, (build, least) in CACHED.items():
             info = build.cache_info()
             assert (info.hits, info.misses, info.maxsize) == (0, 0, None), name
-            assert info.currsize == {"D": 1, "C": 2, "C2": 3}.get(name, 0), name  # seeds
+            assert info.currsize == {"D": 1, "C": 2, "C^2/x": 1, "C2": 3, "S": 2}.get(name, 0), name  # seeds
             for order in (5, 3, 5, 9, 9, 12, 2, 12):
                 before = build.cache_info()
                 build(max(order, least))
@@ -325,6 +377,7 @@ class TestGrowOnly:
             "connected_sq_div_x",
             "series_connectivity_one",
             "series_two_connected",
+            "two_connected_sq",
             "series_two_connected_sequences",
         ):
             build = getattr(gf, attr)
@@ -337,6 +390,7 @@ class TestGrowOnly:
         for name in ("D", "C", "C1", "C2", "S"):
             assert gf.series_family(name, 25) == expected[name], name
         assert gf.connected_sq_div_x(25) == expected["C^2/x"]
+        assert gf.two_connected_sq(25) == expected["C2^2"]
         assert alien.alien_connected(25) == expected["image C"]
         assert alien.alien_two_connected(25) == expected["image C2"]
 
