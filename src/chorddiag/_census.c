@@ -51,6 +51,19 @@
  * tested fields: a zero field below them would otherwise borrow and give a
  * false hit. The v = 1 test reads its masks from the Close table; the
  * tests for v >= 2 run only when it misses below a level above 2.
+ *
+ * Crossings are defined on the circle, so every level is invariant under
+ * the 2n rotations. A shortest of l walks class l: root partner l + 1, and
+ * only the diagrams with no chord of cyclic length min(v-u, 2n-v+u) below
+ * l, so a chord opened at b takes a partner in b+l..b+2n-l. A diagram M
+ * with shortest length l has c(M) positions whose partner lies l on (mod
+ * 2n), two per chord when l = n, and c(M) of its 2n rotations (with repeats
+ * when M is symmetric) lie in the class, so the weights 2n/c over the class
+ * sum to the diagrams of each level whose shortest chord has length l. The
+ * closes add c in a field above the counts, the leaves count by level and
+ * c, and census() sums the weights exactly. The classes l = 2..n take 41-46 ms at n = 9
+ * against 218-225 ms for the reflected half of the plain walk (one thread,
+ * 2-vCPU VM, gcc -O2).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -58,6 +71,7 @@
 
 #define MAX_CHORDS 10
 #define WIDTH 6  /* counts stay at most n, below 2^5; 2 * MAX_CHORDS fields fill 120 bits */
+#define ENDS_SHIFT (2 * MAX_CHORDS * WIDTH)  /* the ends field above them, up to 2n < 2^8 */
 
 typedef unsigned long long count_t;
 typedef unsigned __int128 state_t;
@@ -66,16 +80,18 @@ typedef unsigned __int128 state_t;
 typedef struct {
     state_t closed, closed_highs;   /* ones and top bits over the fields tested for 1 */
     state_t twos, near, near_highs; /* twos, ones and top bits over those tested for level 1 */
-    state_t update;
+    state_t update;                 /* with the ends of (p, b) in a class walk */
 } Close;
 
 typedef struct {
     int n, size;
     int partner[2 * MAX_CHORDS];     /* 0-based partner of each position, -1 when free */
+    int first[2 * MAX_CHORDS];       /* a chord opened at b takes a partner in */
+    int stop[2 * MAX_CHORDS];        /* first[b]..stop[b]-1 */
     state_t opens[2 * MAX_CHORDS];   /* ones over fields 0..b */
     Close closes[2 * MAX_CHORDS][2 * MAX_CHORDS];  /* [b][p], p < b */
     count_t rest[MAX_CHORDS + 1];    /* (2(n-c)-1)!!, completions of c placed chords */
-    count_t hist[MAX_CHORDS + 1];    /* diagrams by level */
+    count_t hist[MAX_CHORDS + 1][2 * MAX_CHORDS + 1];  /* diagrams by level and ends */
 } Walk;
 
 static state_t ones(int lo, int hi)
@@ -144,11 +160,11 @@ static void place(Walk *w, int b, int c, state_t state, int level)
     int p;
     b = close_run(w, b, &state, &level);
     if (b < 0) {
-        w->hist[0] += w->rest[c];
+        w->hist[0][0] += w->rest[c];
         return;
     }
     if (b == w->size) {
-        w->hist[level]++;
+        w->hist[level][(int)(state >> ENDS_SHIFT)]++;
         return;
     }
     state += w->opens[b];
@@ -160,20 +176,25 @@ static void place(Walk *w, int b, int c, state_t state, int level)
         f++;
     }
     int start = f;
-    if (f == b + 1 && w->n >= 2) {  /* (b, b+1) closes a proper interval */
-        w->hist[0] += w->rest[c + 1];
-        start++;
+    if (f < w->first[b]) {  /* (b, b+1) closes a proper interval, or f is too near */
+        w->hist[0][0] += w->rest[c + 1];
+        start = w->first[b];
     }
-    if (c + 1 == w->n) {  /* the last chord: f is the only free partner left */
+    /* the last chord: f is the only free partner left, and below stop[b], since
+     * its opener b follows n - 1 others, so b + 2n - l >= 2n - 1 for l <= n */
+    if (c + 1 == w->n) {
         if (start == f) {
             w->partner[b] = f;
             w->partner[f] = b;
-            w->hist[close_run(w, f, &state, &level) < 0 ? 0 : level]++;
+            if (close_run(w, f, &state, &level) < 0)
+                w->hist[0][0]++;
+            else
+                w->hist[level][(int)(state >> ENDS_SHIFT)]++;
             w->partner[b] = w->partner[f] = -1;
         }
         return;
     }
-    for (int j = start; j < w->size; j++) {
+    for (int j = start; j < w->stop[b]; j++) {
         if (w->partner[j] >= 0)
             continue;
         w->partner[b] = j;
@@ -184,11 +205,25 @@ static void place(Walk *w, int b, int c, state_t state, int level)
     w->partner[b] = -1;
 }
 
+static count_t gcd(count_t a, count_t b)
+{
+    while (b) {
+        count_t t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
 /* counts[j] = number of j-connected diagrams on n chords, for j = 0..k;
- * root_partner (1-based, 0 for none) pins the partner of position 1.
- * Returns -1 with an exception set on bad input, so counts, which has room
- * for MAX_CHORDS + 1 levels, is never written past its end. */
-static int census(int n, int k, int root_partner, count_t *counts)
+ * root_partner (1-based, 0 for none) pins the partner of position 1. A
+ * shortest of l in 1..n walks class l instead: root partner l + 1, chords
+ * of cyclic length at least l, and for j >= 1 the weights 2n/c summed
+ * exactly over the c ends counted at each leaf; the disconnected diagrams
+ * are not counted, so counts[0] = counts[1]. Returns -1 with an exception
+ * set on bad input or a sum that is not an integer, so counts, which has
+ * room for MAX_CHORDS + 1 levels, is never written past its end. */
+static int census(int n, int k, int root_partner, int shortest, count_t *counts)
 {
     if (n < 0 || n > MAX_CHORDS) {
         PyErr_Format(PyExc_ValueError,
@@ -206,6 +241,14 @@ static int census(int n, int k, int root_partner, count_t *counts)
         PyErr_Format(PyExc_ValueError, "root partner must lie in 2..%d", size);
         return -1;
     }
+    if (shortest) {
+        if (root_partner || shortest < 1 || shortest > n) {
+            PyErr_Format(PyExc_ValueError,
+                         "a class lies in 1..%d and fixes the root partner", n);
+            return -1;
+        }
+        root_partner = shortest + 1;
+    }
     Walk *w = PyMem_Calloc(1, sizeof *w);
     if (w == NULL) {
         PyErr_NoMemory();
@@ -213,8 +256,13 @@ static int census(int n, int k, int root_partner, count_t *counts)
     }
     w->n = n;
     w->size = size;
+    int gap = n >= 2 ? 2 : 1;  /* (b, b+1) closes a proper interval when n >= 2 */
+    if (shortest > gap)
+        gap = shortest;
     for (int b = 0; b < size; b++) {
         w->partner[b] = -1;
+        w->first[b] = b + gap;
+        w->stop[b] = b + size - shortest + 1 < size ? b + size - shortest + 1 : size;
         w->opens[b] = ones(0, b);
         for (int p = 0; p < b; p++) {
             Close *t = &w->closes[b][p];
@@ -224,7 +272,10 @@ static int census(int n, int k, int root_partner, count_t *counts)
             t->near = ones(b - size + 4 > 0 ? b - size + 4 : 0, p);
             t->twos = t->near << 1;
             t->near_highs = t->near << (WIDTH - 1);
-            t->update = ones(p + 1, b) - ones(0, p);
+            /* p's partner lies l on, or b's does (mod 2n); never in a plain walk */
+            t->update = ones(p + 1, b) - ones(0, p)
+                        + ((state_t)((b - p == shortest) + (b - p == size - shortest))
+                           << ENDS_SHIFT);
         }
     }
     w->rest[n] = 1;
@@ -234,7 +285,7 @@ static int census(int n, int k, int root_partner, count_t *counts)
     int top = k < n ? k : n;  /* the level every walk starts from */
     Py_BEGIN_ALLOW_THREADS
     if (root_partner == size && n >= 2)  /* the root chord (1, 2n) crosses nothing */
-        w->hist[0] = w->rest[1];
+        w->hist[0][0] = w->rest[1];
     else if (root_partner) {
         w->partner[0] = root_partner - 1;
         w->partner[root_partner - 1] = 0;
@@ -244,21 +295,40 @@ static int census(int n, int k, int root_partner, count_t *counts)
         place(w, 0, 0, 0, top);
     Py_END_ALLOW_THREADS
 
-    counts[k] = w->hist[k];
-    for (int j = k - 1; j >= 0; j--)
-        counts[j] = counts[j + 1] + w->hist[j];
+    count_t lcm = 1;  /* of the possible ends 1..2n */
+    for (int e = 2; e <= size; e++)
+        lcm = lcm / gcd(lcm, e) * e;
+    count_t above = 0;
+    for (int j = k; j >= 0; j--) {
+        if (!shortest)
+            counts[j] = above += w->hist[j][0];
+        else if (j == 0)
+            counts[j] = above;
+        else {
+            state_t sum = 0;  /* lcm/2n times the weighted count: 2n * sum < 2^68 */
+            for (int e = 1; e <= size; e++)
+                sum += (state_t)w->hist[j][e] * (lcm / e);
+            if (sum * size % lcm) {
+                PyErr_Format(PyExc_ArithmeticError,
+                             "class %d sums to no integer at level %d", shortest, j);
+                PyMem_Free(w);
+                return -1;
+            }
+            counts[j] = above += (count_t)(sum * size / lcm);
+        }
+    }
     PyMem_Free(w);
     return 0;
 }
 
 static PyObject *class_census(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "root_partner", "k", NULL};
-    int n, root_partner = 0, k = 2;
+    static char *kwlist[] = {"n", "root_partner", "k", "shortest", NULL};
+    int n, root_partner = 0, k = 2, shortest = 0;
     count_t counts[MAX_CHORDS + 1];
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i|ii:class_census", kwlist,
-                                     &n, &root_partner, &k)
-        || census(n, k, root_partner, counts) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i|iii:class_census", kwlist,
+                                     &n, &root_partner, &k, &shortest)
+        || census(n, k, root_partner, shortest, counts) < 0)
         return NULL;
     PyObject *result = PyTuple_New(k + 1);
     for (int j = 0; result != NULL && j <= k; j++) {
@@ -274,10 +344,12 @@ static PyObject *class_census(PyObject *module, PyObject *args, PyObject *kwargs
 static PyMethodDef census_methods[] = {
     {"class_census", (PyCFunction)(void (*)(void))class_census,
      METH_VARARGS | METH_KEYWORDS,
-     "class_census(n, root_partner=0, k=2)\n--\n\n"
+     "class_census(n, root_partner=0, k=2, shortest=0)\n--\n\n"
      "Counts of the j-connected diagrams on n chords for j = 0..k, so by\n"
      "default (total, connected, 2-connected); root_partner (1-based\n"
-     "position, 0 for none) pins the partner of position 1."},
+     "position, 0 for none) pins the partner of position 1. A shortest of\n"
+     "l in 1..n counts, for j >= 1, those whose shortest chord has cyclic\n"
+     "length l, one walk per rotation class; entry 0 then repeats entry 1."},
     {NULL, NULL, 0, NULL}
 };
 

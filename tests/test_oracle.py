@@ -46,6 +46,7 @@ def graph_level(diagram: ChordDiagram, k: int) -> int:
 
 
 ALL_LEVELS_N7 = (135135, 38232, 10113, 2187, 339, 29, 1, 1)
+ALL_LEVELS_N8 = (2027025, 593859, 161935, 37041, 6641, 771, 47, 1, 1)
 
 
 class TestChordDiagram:
@@ -578,7 +579,7 @@ class TestCensusBackends:
                 for rp, counts in parts.items():
                     assert counts == parts[2 * n + 2 - rp], (kernel.__name__, n, rp)
 
-    def test_reflected_census_matches_full_walk(self, census_kernels, monkeypatch):
+    def test_class_census_matches_full_walk(self, census_kernels, monkeypatch):
         for kernel in census_kernels:
             monkeypatch.setattr(oracle, "_census_impl", kernel)
             for n in range(0, 9 if kernel is not _census_py else 8):
@@ -658,6 +659,63 @@ class TestCensusBackends:
             oracle.k_connected_census(9, 2)
 
 
+def shortest_chord(diagram: ChordDiagram) -> int:
+    """The least cyclic length min(v - u, 2n - v + u) over the chords (u, v)."""
+    return min(min(v - u, diagram.size - v + u) for u, v in diagram.chords())
+
+
+class TestRotationClasses:
+    """``shortest`` walks one rotation class of the census, weighted 2n/c."""
+
+    def test_classes_sum_to_the_plain_walk(self, census_kernels):
+        for kernel in census_kernels:
+            for n in range(1, 9):
+                # a plain python walk at n = 8 takes over a second per k, so the
+                # pinned levels stand in for it
+                ks = (2,) if n == 8 and kernel is _census_py else (1, 2, 3, 4)
+                for k in ks:
+                    if n == 8:
+                        plain = ALL_LEVELS_N8[: k + 1]
+                    else:
+                        plain = tuple(kernel.class_census(n, 0, k))
+                    classes = [tuple(kernel.class_census(n, 0, k, l)) for l in range(1, n + 1)]
+                    for counts in classes:  # the disconnected diagrams go uncounted
+                        assert counts[0] == counts[1], (kernel.__name__, n, k, classes)
+                    if n >= 2:  # a chord of length 1 crosses nothing
+                        assert set(classes[0]) == {0}, (kernel.__name__, n, k)
+                    summed = tuple(map(sum, zip(*classes)))
+                    assert summed[1:] == plain[1:], (kernel.__name__, n, k, summed, plain)
+        if census_kernels[-1] is not _census_py:
+            assert tuple(census_kernels[-1].class_census(8, 0, 8)) == ALL_LEVELS_N8
+
+    def test_class_counts_by_shortest_chord(self, census_kernels):
+        for n in range(1, 7):
+            hist = {}  # (shortest chord, level) -> diagrams
+            for d in enumerate_diagrams(n):
+                key = (shortest_chord(d), graph_level(d, 4))
+                hist[key] = hist.get(key, 0) + 1
+            for l in range(1, n + 1):
+                levels = [hist.get((l, j), 0) for j in range(min(4, n) + 1)]
+                expected = tuple(sum(levels[j:]) for j in range(1, 5))  # levels 1..4
+                for kernel in census_kernels:
+                    got = tuple(kernel.class_census(n, 0, 4, l))
+                    assert got[1:] == expected, (kernel.__name__, n, l)
+
+    def test_class_input_rejected(self, census_kernels):
+        for kernel in census_kernels:
+            for n, rp, shortest in ((3, 0, -1), (3, 0, 4), (0, 0, 1), (3, 2, 1), (3, 3, 2)):
+                with pytest.raises(ValueError, match="a class lies in 1.."):
+                    kernel.class_census(n, rp, 2, shortest)
+
+    def test_non_integer_weight_sum_raises(self, monkeypatch):
+        def walk(n, root_partner, visit, k, shortest):
+            visit([1, 0, 3, 2], 1, 3)  # one diagram of weight 4/3
+
+        monkeypatch.setattr(_census_py, "_walk", walk)
+        with pytest.raises(ArithmeticError, match="class 2 sums to 4/3 at level 1"):
+            _census_py.class_census(2, 0, 2, 2)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -670,15 +728,13 @@ class TestCensusShares:
         for kernel in census_kernels:
             monkeypatch.setattr(oracle, "_census_impl", kernel)
             for n in range(0, 9):
-                # a python walk at n = 8 takes 0.2-0.5 s, so there only k = 2
-                ks = (2,) if n == 8 and kernel is _census_py else (1, 2, 3, 4)
-                serial = {k: oracle._census(n, k, None) for k in ks}
+                serial = {k: oracle._census(n, k, None) for k in (1, 2, 3, 4)}
                 total, connected, two_connected = serial[2]
                 for workers in (2, 3, n + 5):
                     assert oracle.class_census(n, workers=workers) == {
                         "all": total, "connected": connected, "2connected": two_connected
                     }, (kernel.__name__, n, workers)
-                    for k in set(ks) - {2}:
+                    for k in (1, 3, 4):
                         got = oracle._census(n, k, None, workers=workers)
                         assert got == serial[k], (kernel.__name__, n, k, workers)
         assert_no_child_left()
@@ -692,9 +748,9 @@ class TestCensusShares:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        # n = 0 and n = 3 walk 1 and 3 partitions; k = 4 > max(3, 2) walks none
+        # n = 0 walks once and n = 4 walks the classes 2..4; k = 5 > max(4, 2) walks none
         for n, k, workers, expected in (
-            (0, 2, 2, 0), (3, 2, 1, 0), (3, 2, 2, 1), (3, 2, 3, 2), (3, 2, 4, 2), (3, 4, 4, 0),
+            (0, 2, 2, 0), (4, 2, 1, 0), (4, 2, 2, 1), (4, 2, 3, 2), (4, 2, 4, 2), (4, 5, 4, 0),
         ):
             forks.clear()
             oracle._census(n, k, None, workers=workers)
@@ -702,10 +758,10 @@ class TestCensusShares:
         assert_no_child_left()
 
     def test_failing_child_raises(self, monkeypatch):
-        def kernel(n, rp, k):  # n = 4 in two shares: rp 2, 4 here and rp 3, 5 in the child
-            if rp == 3:
+        def kernel(n, rp, k, shortest):  # n = 4 in two shares: class 2 here, 3 and 4 in the child
+            if shortest == 3:
                 raise ZeroDivisionError("planted")
-            return _census_py.class_census(n, rp, k)
+            return _census_py.class_census(n, rp, k, shortest)
 
         monkeypatch.setattr(oracle, "_census_impl", SimpleNamespace(class_census=kernel))
         with pytest.raises(RuntimeError, match="census share exited with status 1"):
@@ -715,7 +771,7 @@ class TestCensusShares:
     def test_failing_parent_kills_and_reaps_every_child(self, monkeypatch):
         parent = os.getpid()
 
-        def kernel(n, rp, k):  # n = 4 in three shares: rp 2, 5 here, rp 3 and rp 4 in children
+        def kernel(n, rp, k, shortest):  # n = 4 in three shares: class 2 here, 3 and 4 in children
             if os.getpid() == parent:
                 raise ZeroDivisionError("planted")
             time.sleep(60)
