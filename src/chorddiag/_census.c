@@ -1,19 +1,20 @@
 /* Compiled census kernel.
  *
  * Same contract as the pure-Python twin in _census_py.py: one export,
- * class_census(n, root_partner=0, k=2), with the counts of the j-connected
- * diagrams for j = 0..k. Same design too: one walker, place(), enumerates
- * every rooted diagram on n chords (smallest free position matched first,
- * partners tried left to right) and reads connectivity off the intervals
- * of positions, with no graph search. It scans the positions left to
- * right, opening a chord at each free one and closing one at each taken
- * one, and keeps the external count of every interval [a, b-1] ending at
- * the current position b: the number of its endpoints whose partner lies
- * outside it. Before each close it tests two facts:
+ * class_census(n, root_partner=0, k=2, shortest=0), with the counts of the
+ * j-connected diagrams for j = 0..k. Same design too: one walker,
+ * place(), enumerates every rooted diagram on n chords (smallest free
+ * position matched first, partners tried left to right) and reads
+ * connectivity off the intervals of positions, with no graph search. It
+ * scans the positions left to right, opening a chord at each free one and
+ * closing one at each taken one, and keeps the external count of every
+ * interval [a, b-1] ending at the current position b: the number of its
+ * endpoints whose partner lies outside it. Before each close it tests two
+ * facts:
  *   - a diagram is disconnected exactly when some proper interval is
  *     closed (external count 0); such an interval is fixed once its last
- *     position closes, so the subtree is skipped and its (2m-1)!!
- *     completions, m chords still to place, are added to level 0;
+ *     position closes, so the subtree, all of whose completions are
+ *     disconnected, is left unwalked;
  *   - a connected diagram's level is the least of n and e(I) over the
  *     intervals I with a chord wholly inside and one wholly outside (e = 1
  *     gives the cut chords); the least e is reached at an interval that
@@ -22,8 +23,8 @@
  *     the least v below it for which some [a, b], a <= p, of at most
  *     2n-v-2 positions has e = v.
  * Every diagram the walk reaches is therefore connected, and its level is
- * read off at the leaf with no graph search. The walk runs without the GIL,
- * so root-partner partitions of one census overlap on a thread pool.
+ * read off at the leaf with no graph search. The walk runs without the
+ * GIL; the oracle runs the walks of one census in forked processes.
  *
  * After opening a chord at the free position b, the closes at b+1..f-1,
  * where f is the next free position, have partners before b and do not
@@ -32,14 +33,13 @@
  * tests and drops the closed test, which cannot fire there: each interval it
  * would test, [a, q] with a <= p < b < q, contains b, whose partner lies
  * beyond q. When b+1 is free and n >= 2, the child j = b+1 is not entered:
- * the chord (b, b+1) closes the proper interval [b, b+1], so its
- * completions go to level 0 at once. When the chord at b is the last one,
- * f is the only free position left, so no child is entered either: the
- * parent pairs b with f, runs the closes f..2n-1 with both tests through
- * the same close_run() as the leading closes, counts the one diagram at
- * level 0 on a closed hit and classifies it otherwise. A root chord to
- * position 2n crosses no chord, so for n >= 2 census() puts all rest[1]
- * diagrams of that partition at level 0 without a walk.
+ * the chord (b, b+1) closes the proper interval [b, b+1], so all of its
+ * completions are disconnected. When the chord at b is the last one, f is
+ * the only free position left, so no child is entered either: the parent
+ * pairs b with f, runs the closes f..2n-1 with both tests through the same
+ * close_run() as the leading closes and classifies the one diagram unless
+ * a closed hit shows it disconnected. A root chord to position 2n crosses
+ * no chord, so for n >= 2 census() walks nothing of that partition.
  *
  * The counts live in one unsigned __int128: field a, WIDTH bits wide with a
  * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
@@ -90,7 +90,6 @@ typedef struct {
     int stop[2 * MAX_CHORDS];        /* first[b]..stop[b]-1 */
     state_t opens[2 * MAX_CHORDS];   /* ones over fields 0..b */
     Close closes[2 * MAX_CHORDS][2 * MAX_CHORDS];  /* [b][p], p < b */
-    count_t rest[MAX_CHORDS + 1];    /* (2(n-c)-1)!!, completions of c placed chords */
     count_t hist[MAX_CHORDS + 1][2 * MAX_CHORDS + 1];  /* diagrams by level and ends */
 } Walk;
 
@@ -159,10 +158,8 @@ static void place(Walk *w, int b, int c, state_t state, int level)
 {
     int p;
     b = close_run(w, b, &state, &level);
-    if (b < 0) {
-        w->hist[0][0] += w->rest[c];
+    if (b < 0)
         return;
-    }
     if (b == w->size) {
         w->hist[level][(int)(state >> ENDS_SHIFT)]++;
         return;
@@ -176,19 +173,15 @@ static void place(Walk *w, int b, int c, state_t state, int level)
         f++;
     }
     int start = f;
-    if (f < w->first[b]) {  /* (b, b+1) closes a proper interval, or f is too near */
-        w->hist[0][0] += w->rest[c + 1];
+    if (f < w->first[b])  /* (b, b+1) closes a proper interval, or f is too near */
         start = w->first[b];
-    }
     /* the last chord: f is the only free partner left, and below stop[b], since
      * its opener b follows n - 1 others, so b + 2n - l >= 2n - 1 for l <= n */
     if (c + 1 == w->n) {
         if (start == f) {
             w->partner[b] = f;
             w->partner[f] = b;
-            if (close_run(w, f, &state, &level) < 0)
-                w->hist[0][0]++;
-            else
+            if (close_run(w, f, &state, &level) >= 0)
                 w->hist[level][(int)(state >> ENDS_SHIFT)]++;
             w->partner[b] = w->partner[f] = -1;
         }
@@ -216,13 +209,15 @@ static count_t gcd(count_t a, count_t b)
 }
 
 /* counts[j] = number of j-connected diagrams on n chords, for j = 0..k;
- * root_partner (1-based, 0 for none) pins the partner of position 1. A
- * shortest of l in 1..n walks class l instead: root partner l + 1, chords
- * of cyclic length at least l, and for j >= 1 the weights 2n/c summed
- * exactly over the c ends counted at each leaf; the disconnected diagrams
- * are not counted, so counts[0] = counts[1]. Returns -1 with an exception
- * set on bad input or a sum that is not an integer, so counts, which has
- * room for MAX_CHORDS + 1 levels, is never written past its end. */
+ * root_partner (1-based, 0 for none) pins the partner of position 1. The
+ * walk leaves the disconnected diagrams uncounted, so counts[0] is the
+ * size of the walked set in closed form: (2n-1)!!, or (2n-3)!! with a
+ * pinned root partner. A shortest of l in 1..n walks class l instead: root
+ * partner l + 1, chords of cyclic length at least l, and for j >= 1 the
+ * weights 2n/c summed exactly over the c ends counted at each leaf; then
+ * counts[0] = counts[1]. Returns -1 with an exception set on bad input or
+ * a sum that is not an integer, so counts, which has room for
+ * MAX_CHORDS + 1 levels, is never written past its end. */
 static int census(int n, int k, int root_partner, int shortest, count_t *counts)
 {
     if (n < 0 || n > MAX_CHORDS) {
@@ -278,32 +273,25 @@ static int census(int n, int k, int root_partner, int shortest, count_t *counts)
                            << ENDS_SHIFT);
         }
     }
-    w->rest[n] = 1;
-    for (int c = n - 1; c >= 0; c--)
-        w->rest[c] = w->rest[c + 1] * (count_t)(2 * (n - c) - 1);
 
     int top = k < n ? k : n;  /* the level every walk starts from */
     Py_BEGIN_ALLOW_THREADS
-    if (root_partner == size && n >= 2)  /* the root chord (1, 2n) crosses nothing */
-        w->hist[0][0] = w->rest[1];
-    else if (root_partner) {
+    if (!root_partner)
+        place(w, 0, 0, 0, top);
+    else if (root_partner < size || n < 2) {  /* the root chord (1, 2n) crosses nothing */
         w->partner[0] = root_partner - 1;
         w->partner[root_partner - 1] = 0;
         place(w, 1, 1, w->opens[0], top);
     }
-    else
-        place(w, 0, 0, 0, top);
     Py_END_ALLOW_THREADS
 
     count_t lcm = 1;  /* of the possible ends 1..2n */
     for (int e = 2; e <= size; e++)
         lcm = lcm / gcd(lcm, e) * e;
     count_t above = 0;
-    for (int j = k; j >= 0; j--) {
+    for (int j = k; j >= 1; j--) {
         if (!shortest)
             counts[j] = above += w->hist[j][0];
-        else if (j == 0)
-            counts[j] = above;
         else {
             state_t sum = 0;  /* lcm/2n times the weighted count: 2n * sum < 2^68 */
             for (int e = 1; e <= size; e++)
@@ -317,6 +305,11 @@ static int census(int n, int k, int root_partner, int shortest, count_t *counts)
             counts[j] = above += (count_t)(sum * size / lcm);
         }
     }
+    /* a class walk's entry 0 repeats entry 1; a plain walk covers (2m-1)!!
+     * diagrams, m the chords not pinned by the root */
+    counts[0] = shortest ? above : 1;
+    for (int m = root_partner ? n - 1 : n; !shortest && m > 0; m--)
+        counts[0] *= (count_t)(2 * m - 1);
     PyMem_Free(w);
     return 0;
 }

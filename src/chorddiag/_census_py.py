@@ -18,8 +18,8 @@ into a classification:
 - A diagram is disconnected exactly when some proper interval is closed
   (external count 0): no chord can cross out of it. Such an interval is
   fixed once its last position is closed, so the walk tests for one before
-  each close and skips the subtree, all of whose (2m-1)!! completions (m
-  chords still to place) are disconnected.
+  each close and leaves the subtree, all of whose completions are
+  disconnected, unwalked.
 - A connected diagram's level, the highest j for which it has at least j
   chords and survives every removal of fewer than j chords, is the least
   of n and e(I) over the intervals I with at least one chord wholly inside
@@ -41,10 +41,10 @@ at the leaf with no graph search.
 The closes between a new chord and the next free position do not depend on
 that chord's partner, so they run once per node, not once per child, and
 without the closed test, which cannot fire there (``_walk`` says why). The
-child whose chord joins two adjacent positions is counted as skipped
-without being entered. The last chord enters no child at all: its only
-possible partner is the next free position, so the parent places it, runs
-the remaining closes and visits the leaf itself.
+child whose chord joins two adjacent positions is not entered. The last
+chord enters no child at all: its only possible partner is the next free
+position, so the parent places it, runs the remaining closes and visits
+the leaf itself.
 
 Crossings are defined on the circle, so every level is invariant under the
 2n rotations. Class l walks root partner l + 1 and only the diagrams with
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from math import prod
 
 MAX_K = 10  # the compiled twin's bound on k (its MAX_CHORDS), so both reject alike
 
@@ -78,9 +78,9 @@ def _width(n: int) -> int:
 def _tables(n: int, deep: bool, shortest: int) -> tuple[tuple, ...]:
     """The walk's tables for n chords, in class ``shortest`` or plain (0).
 
-    ``opens``, ``closes``, ``deeper``, ``rest``, ``first`` and ``stop`` are
-    built on first use and shared by every walk on n chords in the class, so
-    they are tuples: no walk can change them for the next.
+    ``opens``, ``closes``, ``deeper``, ``first`` and ``stop`` are built on
+    first use and shared by every walk on n chords in the class, so they
+    are tuples: no walk can change them for the next.
     ``deeper`` is empty unless ``deep``: only a walk that starts above level
     2 reads it.
 
@@ -91,9 +91,8 @@ def _tables(n: int, deep: bool, shortest: int) -> tuple[tuple, ...]:
     tested for a cut (level 1), and the update. ``deeper[b][p]`` holds the
     tests for the levels v >= 2 whose window of fields a >= b - 2n + v + 3
     (intervals of at most 2n - v - 2 positions) is not empty, each as v
-    with v + 1s, ones and top bits over the window. ``rest[c]`` is
-    (2(n - c) - 1)!!, the completions of c placed chords. A chord opened at
-    b takes a partner in ``first[b]``..``stop[b]`` - 1: any but b + 1, which
+    with v + 1s, ones and top bits over the window. A chord opened at b
+    takes a partner in ``first[b]``..``stop[b]`` - 1: any but b + 1, which
     closes a proper interval when n >= 2, or in class ``shortest`` those at
     a cyclic distance of at least ``shortest``. There the update for
     closing (p, b) also adds, in field 2n above the counts, the ends of
@@ -127,13 +126,10 @@ def _tables(n: int, deep: bool, shortest: int) -> tuple[tuple, ...]:
             ))
         closes.append(tuple(row))
     deeper = tuple(tuple(level_tests(b, p) for p in range(b)) for b in range(size) if deep)
-    rest = [1] * (n + 1)
-    for c in range(n - 1, -1, -1):
-        rest[c] = rest[c + 1] * (2 * (n - c) - 1)
     gap = max(shortest, 1 + (n >= 2))
     first = tuple(b + gap for b in range(size))
     stop = tuple(min(size, b + size - shortest + 1) for b in range(size))
-    return tuple(opens), tuple(closes), deeper, tuple(rest), first, stop
+    return tuple(opens), tuple(closes), deeper, first, stop
 
 
 def _deeper_level(state: int, tests: tuple, level: int) -> int:
@@ -147,17 +143,17 @@ def _deeper_level(state: int, tests: tuple, level: int) -> int:
     return level
 
 
-def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> int:
-    """Call ``visit(partner, level)`` once per connected diagram on n chords.
+def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> None:
+    """Call ``visit(partner, level, ends)`` once per connected diagram on n chords.
 
     ``partner[i]`` is the 0-based partner of position i; the list is reused,
     so ``visit`` must not keep it. ``level`` is the highest j <= k for which
     the diagram is j-connected, so with n >= 2 a level of 1 means that one
-    chord's removal disconnects it. Diagrams are visited in enumeration
-    order, and the empty diagram (n = 0) is visited too, at level 0.
-    ``root_partner`` (1-based position, 0 for unrestricted) pins the partner
-    of position 1. Returns the number of diagrams skipped, all of them
-    disconnected.
+    chord's removal disconnects it. ``ends`` is 0 except in a class walk
+    (below). Diagrams are visited in enumeration order, and the empty
+    diagram (n = 0) is visited too, at level 0. ``root_partner`` (1-based
+    position, 0 for unrestricted) pins the partner of position 1. The
+    disconnected diagrams are not visited.
 
     The counts live in one integer: field a holds the external count of
     [a, b-1] while position b is next. Opening a chord at b adds 1 to fields
@@ -178,26 +174,24 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
     it would test, [a, q] with a <= p < b < q, contains b, whose partner
     lies beyond q. When b+1 is free and n >= 2, the child j = b+1 is not
     entered: the chord (b, b+1) closes the proper interval [b, b+1], so all
-    of its completions are skipped at once.
+    of its completions are disconnected.
 
     When the chord opened at b is the n-th one and f is not the skipped
     b+1, its partner can only be f, the one other free position. So the
     parent pairs b with f and runs the closes f..2n-1 itself, with both
-    tests, instead of calling ``place`` once more per leaf. A closed
-    hit there skips the single completion, rest[n] = 1; otherwise the leaf
-    is visited. Both partner entries are restored before ``place`` returns.
+    tests, instead of calling ``place`` once more per leaf. The leaf is
+    visited unless a closed hit there shows it disconnected. Both partner
+    entries are restored before ``place`` returns.
 
     A root chord to position 2n crosses no chord, so for n >= 2 every
-    diagram of that partition is disconnected: all its rest[1] completions
-    are skipped without a walk.
+    diagram of that partition is disconnected and the walk returns at once.
 
     A ``shortest`` of l in 1..n walks class l instead: root partner l + 1,
     and only the diagrams with no chord of cyclic length below l, so each
     chord opened at b, the last one too, takes a partner in b+l..b+2n-l.
-    There ``visit(partner, level, ends)`` also gets the number of positions
-    whose partner lies l positions on (mod 2n), which the closes sum in a
-    field above the counts; a chord of length n has two such ends. The
-    skipped count is then of no use.
+    There ``ends`` is the number of positions whose partner lies l
+    positions on (mod 2n), which the closes sum in a field above the
+    counts; a chord of length n has two such ends.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
@@ -208,20 +202,17 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
         if root_partner or not 1 <= shortest <= n:
             raise ValueError(f"a class lies in 1..{n} and fixes the root partner")
         root_partner = shortest + 1
-    opens, closes, deeper, rest, first, stop = _tables(n, min(k, n) > 2, shortest)
+    opens, closes, deeper, first, stop = _tables(n, min(k, n) > 2, shortest)
     shift = size * _width(n)  # the ends field of the state
     if root_partner == size and n >= 2:  # the root chord (1, 2n) crosses nothing
-        return rest[1]
+        return
     partner = [-1] * size
-    skipped = 0
 
     def place(b: int, c: int, state: int, level: int) -> None:
-        nonlocal skipped
         while b < size and (p := partner[b]) >= 0:
             closed, closed_highs, twos, near, near_highs, update = closes[b][p]
             y = state ^ closed
             if (y - closed) & ~y & closed_highs:
-                skipped += rest[c]
                 return
             if level > 1:
                 y = state ^ twos
@@ -232,10 +223,7 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
             state += update
             b += 1
         if b == size:
-            if shortest:
-                visit(partner, level, state >> shift)
-            else:
-                visit(partner, level)
+            visit(partner, level, state >> shift)
             return
         state += opens[b]
         f = b + 1
@@ -251,7 +239,6 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
             f += 1
         start = f
         if f < first[b]:  # (b, b+1) closes a proper interval, or f is too near
-            skipped += rest[c + 1]
             start = first[b]
         # the last chord: f is the only free partner left, and below stop[b],
         # since its opener b follows n - 1 others, so b + 2n - l >= 2n - 1 for l <= n
@@ -264,7 +251,6 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
                     closed, closed_highs, twos, near, near_highs, update = closes[q][partner[q]]
                     y = state ^ closed
                     if (y - closed) & ~y & closed_highs:
-                        skipped += 1  # rest[n]
                         break
                     if level > 1:
                         y = state ^ twos
@@ -275,10 +261,7 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
                     state += update
                     q += 1
                 else:
-                    if shortest:
-                        visit(partner, level, state >> shift)
-                    else:
-                        visit(partner, level)
+                    visit(partner, level, state >> shift)
                 partner[b] = partner[f] = -1
             return
         for j in range(start, stop[b]):
@@ -295,7 +278,6 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> in
         place(1, 1, opens[0], min(k, n))
     else:
         place(0, 0, 0, min(k, n))
-    return skipped
 
 
 def class_census(
@@ -310,8 +292,9 @@ def class_census(
     of min(k, n) and e(I), the external endpoints of an interval I with a
     chord wholly inside and one wholly outside, tested before each close on
     the intervals [a, b] of at most 2n - v - 2 positions for each v below
-    the level. The diagrams it skips are disconnected and count at level 0,
-    as does the empty diagram. Levels above n stay 0.
+    the level. The walk leaves the disconnected diagrams uncounted, so
+    entry 0 is the size of the walked set in closed form: (2n-1)!!, or
+    (2n-3)!! with a pinned root partner. Levels above n stay 0.
 
     A ``shortest`` of l in 1..n counts, for j >= 1, the j-connected
     diagrams whose shortest chord has cyclic length l, min(v - u, 2n - v + u)
@@ -320,27 +303,12 @@ def class_census(
     length l is walked through its members with a chord (1, l + 1), each
     weighted 2n/c for the c positions whose partner lies l on (mod 2n); the
     weights of a class sum to its size. A level whose sum is not an integer
-    raises ArithmeticError. The disconnected diagrams are skipped
-    uncounted, so entry 0 repeats entry 1.
+    raises ArithmeticError. Entry 0 then repeats entry 1.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be at least 1 and at most {MAX_K}")
-    if shortest:
-        return _class_counts(n, root_partner, k, shortest)
-    by_level = [0] * (min(k, n) + 1)
-
-    def visit(partner: list[int], level: int) -> None:
-        by_level[level] += 1
-
-    skipped = _walk(n, root_partner, visit, k)  # visit updates by_level[0] for n = 0
-    by_level[0] += skipped
-    return tuple(accumulate(reversed(by_level)))[::-1] + (0,) * (k - n)  # levels above n
-
-
-def _class_counts(n: int, root_partner: int, k: int, shortest: int) -> tuple[int, ...]:
-    """``class_census`` for the class ``shortest``: the weights 2n/c summed exactly."""
     size = 2 * n
     hist = [[0] * (size + 1) for _ in range(min(k, n) + 1)]  # [level][ends]
 
@@ -348,10 +316,17 @@ def _class_counts(n: int, root_partner: int, k: int, shortest: int) -> tuple[int
         hist[level][ends] += 1
 
     _walk(n, root_partner, visit, k, shortest)
-    by_level = []
-    for level, row in enumerate(hist):
-        weighted = sum(Fraction(size * count, ends) for ends, count in enumerate(row) if count)
-        if weighted.denominator != 1:
-            raise ArithmeticError(f"class {shortest} sums to {weighted} at level {level}")
-        by_level.append(int(weighted))
-    return tuple(accumulate(reversed(by_level)))[::-1] + (0,) * (k - n)
+    counts = [0] * (k + 2)  # levels above n stay 0
+    for level in range(min(k, n), 0, -1):
+        if shortest:
+            weighted = sum(
+                Fraction(size * count, ends) for ends, count in enumerate(hist[level]) if count
+            )
+            if weighted.denominator != 1:
+                raise ArithmeticError(f"class {shortest} sums to {weighted} at level {level}")
+        else:
+            weighted = hist[level][0]
+        counts[level] = counts[level + 1] + int(weighted)
+    # a plain walk covers (2m-1)!! diagrams, m the chords not pinned by the root
+    counts[0] = counts[1] if shortest else prod(range(1, 2 * (n - bool(root_partner)), 2))
+    return tuple(counts[: k + 1])

@@ -146,8 +146,9 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         if k:
             count = oracle.k_connected_census(n, k, cap=cap)
-        else:
-            count = oracle.class_census(n, cap=cap)["all"]
+        else:  # every diagram: (2n-1)!!, under the census's checks but with no walk
+            oracle._check_cap("census", n, cap)
+            count = gf.double_factorial_odd(n)
         record = {"n": n, "class": cls, "count": str(count)}
         _emit(args.format, record, ["n", "class", "count"], [[n, cls, count]], count)
         return 0
@@ -311,7 +312,7 @@ def _suite_proposition(order: int, cap: int) -> list[tuple[str, bool, str]]:
     roundtrip_top = min(5, cap)
     bad = seen = 0
 
-    def round_trip(partner: list[int], level: int) -> None:
+    def round_trip(partner: list[int], level: int, ends: int) -> None:
         nonlocal bad, seen
         seen += 1
         diagram = oracle.ChordDiagram._from_involution(tuple([q + 1 for q in partner]))

@@ -482,8 +482,8 @@ def _census(
 ) -> tuple[int, ...]:
     """Counts of the j-connected diagrams on n chords, for j = 0..k.
 
-    Checks every census input. The kernel counts disconnected subtrees in
-    bulk as soon as a closed interval of positions shows, and classifies
+    Checks every census input. The kernel leaves a subtree unwalked as soon
+    as a closed interval of positions shows it disconnected, and classifies
     each connected diagram on its own. Crossings are defined on the circle,
     so every level is invariant under the 2n rotations, and for n >= 2 no
     connected diagram has a chord of cyclic length 1. So the kernel walks
@@ -598,7 +598,7 @@ def case_census(n: int, cap: Optional[int] = DEFAULT_CAP) -> dict[DecompositionC
     elif n >= 2:
         by_case = [0, 0]  # root-free, root-covered
 
-        def visit(partner: list[int], level: int) -> None:
+        def visit(partner: list[int], level: int, ends: int) -> None:
             # _reasons reads 1-based partners and yields truthy witnesses
             root_covered = level == 1 and any(_reasons([q + 1 for q in partner], (1,)))
             by_case[root_covered] += 1

@@ -8,6 +8,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,6 +118,24 @@ class TestEnumerate:
         )
         assert code == 0
         assert out.strip() == "1"
+
+    def test_all_count_walks_nothing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the count of every diagram needs no walk")
+
+        monkeypatch.setattr(oracle, "_census_impl", SimpleNamespace(class_census=refuse))
+        for n, count in ((0, "1"), (1, "1"), (8, "2027025")):
+            code, out, _ = run(capsys, "enumerate", "--chords", str(n), "--count-only")
+            assert (code, out.strip()) == (0, count), n
+        code, out, err = run(capsys, "enumerate", "--chords", "-1", "--count-only")
+        assert (code, out, err) == (2, "", "error: n must be nonnegative\n")
+        code, out, err = run(capsys, "enumerate", "--chords", "9", "--count-only")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: census of n=9 exceeds the cap of 8 chords ((2n-1)!! diagrams); "
+            "raise the cap explicitly to proceed",
+            "set CHORDDIAG_CAP (at most 10) to raise the cap",
+        ]
 
     def test_count_json(self, capsys):
         code, out, _ = run(
@@ -305,11 +324,11 @@ class TestVerify:
         def dropping(n, root_partner, visit):
             first = [n == 4]
 
-            def keep_all_but_first(partner, level):
+            def keep_all_but_first(partner, level, ends):
                 if first[0]:
                     first[0] = False
                 else:
-                    visit(partner, level)
+                    visit(partner, level, ends)
 
             return original(n, root_partner, keep_all_but_first)
 

@@ -499,14 +499,14 @@ class TestCensusBackends:
                 for k in (1, 2, 3, n + 1):
                     leaves = {}
 
-                    def visit(partner, level):
+                    def visit(partner, level, ends):
+                        assert ends == 0 and level >= 1, (partner, level, ends)
                         leaves[tuple(partner)] = level
 
-                    skipped = _census_py._walk(n, rp, visit, k)
+                    _census_py._walk(n, rp, visit, k)
                     expected = {partner: min(level, k) for partner, level in top.items()}
                     assert leaves == expected, (n, rp, k)
                     assert list(leaves) == list(expected), (n, rp, k)  # enumeration order
-                    assert len(leaves) + skipped == odd_double_factorial(n - 1 if rp else n)
                 if (n, rp) == (6, 0):
                     assert len(leaves) == 2830
 
@@ -514,16 +514,15 @@ class TestCensusBackends:
         by_level = [0] * 8
         sample = []
 
-        def visit(partner, level):
+        def visit(partner, level, ends):
             assert -1 not in partner
             if sum(by_level) % 97 == 0:
                 sample.append((ChordDiagram([q + 1 for q in partner]), level))
             by_level[level] += 1
 
-        skipped = _census_py._walk(7, 0, visit, 7)
-        assert by_level == [0, 28119, 7926, 1848, 310, 28, 0, 1]
-        assert skipped == 96903
-        assert sum(by_level) + skipped == odd_double_factorial(7)
+        _census_py._walk(7, 0, visit, 7)
+        assert by_level == [0, 28119, 7926, 1848, 310, 28, 0, 1]  # no leaf at level 0
+        assert sum(by_level) == ALL_LEVELS_N7[1]
         for diagram, level in sample:  # every 97th leaf against the graph search
             assert level == graph_level(diagram, 7), diagram
 
@@ -541,7 +540,7 @@ class TestCensusBackends:
             with pytest.raises(ValueError, match="k must be at least 1 and at most 10"):
                 kernel.class_census(3, 0, 11)
         with pytest.raises(ValueError, match="n must"):
-            _census_py._walk(-1, 0, lambda partner, level: None)
+            _census_py._walk(-1, 0, lambda partner, level, ends: None)
 
     def test_k_census_matches_predicate(self, census_kernels, monkeypatch):
         for n in range(1, 7):
@@ -567,9 +566,6 @@ class TestCensusBackends:
                 parts = [kernel.class_census(n, rp) for rp in range(2, 2 * n + 1)]
                 whole = tuple(kernel.class_census(n))
                 assert tuple(map(sum, zip(*parts))) == whole, kernel.__name__
-
-    def test_concurrent_partitions_reduce_to_same_counts(self):
-        assert oracle.class_census(5, workers=4) == oracle.class_census(5)
 
     def test_reflected_partitions_count_alike(self, census_kernels):
         # j -> 2n+2-j fixes position 1 and keeps every crossing
@@ -606,26 +602,28 @@ class TestCensusBackends:
         for n in range(2, 8):
             visited = []
             for k in (2, n):
-                skipped = _census_py._walk(
-                    n, 2 * n, lambda partner, level: visited.append(level), k
-                )
-                assert visited == [] and skipped == odd_double_factorial(n - 1), (n, k)
+                _census_py._walk(n, 2 * n, lambda partner, level, ends: visited.append(level), k)
+                assert visited == [], (n, k)
+            for kernel in census_kernels:
+                got = tuple(kernel.class_census(n, 2 * n))
+                assert got == (odd_double_factorial(n - 1), 0, 0), (kernel.__name__, n)
         for kernel in census_kernels:
             assert tuple(kernel.class_census(1, 2)) == (1, 1, 0), kernel.__name__
 
-    def test_python_partitions_start_no_threads(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the python kernel cannot overlap on threads")
-
-        monkeypatch.setattr(oracle, "_census_impl", _census_py)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        assert oracle.class_census(5, workers=4) == {
-            "all": 945,
-            "connected": 248,
-            "2connected": 63,
-        }
+    def test_entry_zero_is_the_walked_set(self, census_kernels, monkeypatch):
+        # (2n-1)!! diagrams in all, (2n-3)!! with the root's partner pinned
+        for kernel in census_kernels:
+            for n in range(0, 9):
+                if n == 8 and kernel is _census_py:
+                    # a plain python walk there takes over a second, and entry 0
+                    # does not read it
+                    monkeypatch.setattr(_census_py, "_walk", lambda *args: None)
+                for k in (1, n + 1):
+                    got = kernel.class_census(n, 0, k)[0]
+                    assert got == odd_double_factorial(n), (kernel.__name__, n, k)
+                    for rp in range(2, 2 * n + 1):
+                        got = kernel.class_census(n, rp, k)[0]
+                        assert got == odd_double_factorial(n - 1), (kernel.__name__, n, rp, k)
 
     def test_compiled_kernel_rejects_more_than_ten_chords(self, compiled_census):
         for call, message in (
