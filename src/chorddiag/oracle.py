@@ -188,6 +188,25 @@ def _spans(masks: Sequence[int], keep: int) -> bool:
     return seen == keep
 
 
+def _two_connected(masks: Sequence[int]) -> bool:
+    """True when the chords stay connected after the removal of any one chord.
+
+    ``masks`` are crossing masks as ``_crossing_masks`` gives them. The
+    chords other than chord 0 connected, and chord 0 crossing one of them,
+    make all of them connected, so no separate pass over the whole diagram
+    is needed.
+    """
+    if not masks[0]:
+        return False
+    every = (1 << len(masks)) - 1
+    bit = 1
+    while bit <= every:
+        if not _spans(masks, every ^ bit):
+            return False
+        bit <<= 1
+    return True
+
+
 def enumerate_diagrams(n: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[ChordDiagram]:
     """All (2n-1)!! rooted diagrams on n chords, in deterministic order.
 
@@ -256,17 +275,9 @@ def is_k_connected(diagram: ChordDiagram, k: int) -> bool:
     if n < k:
         return False
     masks = _crossing_masks(pairing)
-    every = (1 << n) - 1
     if k == 2:  # the common case: one removal per chord
-        # chords 1..n-1 connected without chord 0, and chord 0 crossing one: all connected
-        if not masks[0]:
-            return False
-        bit = 1
-        while bit <= every:
-            if not _spans(masks, every ^ bit):
-                return False
-            bit <<= 1
-        return True
+        return _two_connected(masks)
+    every = (1 << n) - 1
     if not _spans(masks, every):
         return False
     bits = [1 << c for c in range(n)]

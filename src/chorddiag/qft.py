@@ -12,6 +12,12 @@ the remaining chords become internal photons on the path, and a diagram is
 divergent proper subgraph. The subdivergence scan works entirely on the
 graph side (path intervals with at most one photon stub), which makes the
 equivalence with the chord-side predicates a genuine cross-check.
+``verify_bijection`` checks it on every diagram in one depth-first walk per
+n, which keeps the crossing masks, the image's partner array and its span
+mask current as chords are placed and taken back: the 0-based pairing is
+the partner array of the image, with the root chord's right end marked 0
+as the external photon's vertex. Each diagram's two verdicts come from the
+helpers that ``is_k_connected(diagram, 2)`` and ``is_primitive`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import factorial, isqrt
 from typing import Iterable, Mapping
 
 from . import gf
-from .oracle import DEFAULT_CAP, ChordDiagram, enumerate_diagrams, is_k_connected
+from .oracle import DEFAULT_CAP, ChordDiagram, _check_cap, _two_connected
 from .series import PowerSeries, _cleared, truncated_product
 
 
@@ -327,6 +333,16 @@ def is_primitive(graph: QedGraph) -> bool:
     for u, v in photons:
         partner[u], partner[v] = v, u
         spanned |= (1 << v) - (1 << u)
+    return _primitive_image(length, partner, spanned)
+
+
+def _primitive_image(length: int, partner: list[int], spanned: int) -> bool:
+    """The verdict of ``is_primitive`` on a graph given by its partner array and span mask.
+
+    ``partner`` is read as ``_subdivergences`` reads it, and ``spanned`` has
+    bit i set when an internal photon spans the fermion edge (i, i + 1). A
+    loop (a nonzero mask), no uncovered edge and no subdivergence.
+    """
     if not spanned or spanned != (1 << length) - 2:
         return False
     return not _subdivergences(length, partner, first=True)
@@ -349,16 +365,82 @@ def verify_bijection(n: int, cap: int | None = DEFAULT_CAP) -> BijectionReport:
 
     For every diagram on n chords the graph image must be primitive exactly
     when the diagram is 2-connected; offending diagrams are reported in
-    text form. ``cap`` bounds n as in enumerate_diagrams (None lifts it).
+    text form, in the order of enumerate_diagrams. ``cap`` bounds n as in
+    enumerate_diagrams (None lifts it).
+
+    One depth-first walk visits the diagrams in that order: the smallest
+    free position i is matched first, with its partners j tried left to
+    right. Placing and taking back a chord keeps three things current
+    instead of rebuilding them per diagram:
+
+    - the symmetric crossing masks of ``_crossing_masks``: the chord (i, j)
+      crosses exactly the placed chords whose right end lies in (i, j), and
+      as j moves right those chords only grow, so each is marked once per
+      i and unmarked when i's partners run out;
+    - the 0-based pairing. Read as a partner array, it is the image's: the
+      position v + 1 is the path vertex v, and the root chord's right end
+      has partner 0, the mark of the external photon's vertex. That is the
+      array ``find_subdivergences`` builds from ``chord_to_qed``;
+    - the image's span mask: a chord (i, j) other than the root spans the
+      fermion edges i..j-1.
+
+    Each diagram gets both verdicts, each from the helper its public
+    predicate calls: ``oracle._two_connected`` on the crossing masks, as
+    ``is_k_connected(diagram, 2)``, and ``_primitive_image`` on the partner
+    array and span mask, as ``is_primitive(chord_to_qed(diagram))``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_cap("enumeration", n, cap)
+    size = 2 * n
+    length = size - 1
+    two_connected, primitive_image = _two_connected, _primitive_image
+    partner = [-1] * (size + 1)  # -1 marks a free position; the one at size ends each search
+    free_from = partner.index
+    chord_at = [0] * size  # the chord whose right end is at a position
+    masks = [0] * n
     primitive = 0
     bad = []
-    for diagram in enumerate_diagrams(n, cap=cap):
-        image_primitive = is_primitive(chord_to_qed(diagram))
-        if image_primitive:
-            primitive += 1
-        if image_primitive != is_k_connected(diagram, 2):
-            bad.append(diagram.to_text())
+
+    def place(i: int, c: int, spanned: int) -> None:
+        # chord c opens at i, the smallest free position; every placed
+        # chord opened left of i, so an occupied position right of i is
+        # a right end
+        nonlocal primitive
+        bit = 1 << c
+        crossed = []
+        cross = 0
+        j = i + 1
+        while True:
+            if partner[j] >= 0:
+                d = chord_at[j]
+                masks[d] |= bit
+                crossed.append(d)
+                cross |= 1 << d
+                j += 1
+                continue
+            if j == size:
+                break
+            partner[i] = j
+            partner[j] = i
+            chord_at[j] = c
+            masks[c] = cross
+            # the root chord is the external photon and spans no fermion edge
+            image = spanned | ((1 << j) - (1 << i)) if c else 0
+            following = free_from(-1, i + 1)
+            if following < size:
+                place(following, c + 1, image)
+            else:
+                verdict = primitive_image(length, partner, image)
+                if verdict:
+                    primitive += 1
+                if verdict != two_connected(masks):
+                    pairing = tuple([p + 1 for p in partner[:size]])
+                    bad.append(ChordDiagram._from_involution(pairing).to_text())
+            partner[i] = partner[j] = -1
+            j += 1
+        for d in crossed:
+            masks[d] ^= bit
+
+    place(0, 0, 0)
     return BijectionReport(n, primitive, tuple(bad))

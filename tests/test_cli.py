@@ -233,10 +233,11 @@ class TestVerify:
         assert out.count("PASS") == 4  # n = 2..5
 
     def test_bijection_reports_a_flipped_connectivity_check(self, capsys, monkeypatch):
-        flipped = "4: 5 6 7 8 1 2 3 4"  # 2-connected
-        original = qft.is_k_connected
+        flipped = "4: 5 6 7 8 1 2 3 4"  # 2-connected, the only diagram with its crossings
+        masks = oracle._crossing_masks(oracle.ChordDiagram.from_text(flipped).pairing)
+        original = qft._two_connected
         monkeypatch.setattr(
-            qft, "is_k_connected", lambda d, k: original(d, k) != (d.to_text() == flipped)
+            qft, "_two_connected", lambda m: original(m) != (m == masks)
         )
         code, out, _ = run(capsys, "verify", "--suite", "bijection", "--order", "5")
         assert code == 1

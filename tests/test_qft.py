@@ -11,6 +11,7 @@ from test_oracle import matchings
 from chorddiag import gf, qft
 from chorddiag.oracle import (
     ChordDiagram,
+    _crossing_masks,
     enumerate_diagrams,
     find_reasons_connectivity1,
     is_connected,
@@ -355,16 +356,51 @@ class TestBijection:
     # a 2-connected diagram, and a connected one with a cut chord
     @pytest.mark.parametrize("text", ["4: 5 6 7 8 1 2 3 4", "4: 3 5 1 7 2 8 4 6"])
     def test_a_flipped_connectivity_check_is_reported(self, monkeypatch, text):
-        """The loop compares with what ``qft.is_k_connected`` says, diagram by diagram."""
-        flipped = ChordDiagram.from_text(text)
-        original = qft.is_k_connected
+        """The walk compares with what ``qft._two_connected`` says, diagram by diagram.
+
+        No other diagram on 4 chords has the crossing masks of either one, so
+        flipping the verdict on those masks flips it for that diagram alone.
+        """
+        flipped = _crossing_masks(ChordDiagram.from_text(text).pairing)
+        original = qft._two_connected
         monkeypatch.setattr(
-            qft, "is_k_connected", lambda d, k: original(d, k) != (d == flipped)
+            qft, "_two_connected", lambda masks: original(masks) != (masks == flipped)
         )
         report = verify_bijection(4)
         assert not report.passed
         assert report.counterexamples == (text,)
         assert report.primitive_count == 7  # the graph side does not change
+
+    # a primitive image, and one with a vertex subdivergence
+    @pytest.mark.parametrize(
+        "text, count", [("4: 5 6 7 8 1 2 3 4", 6), ("4: 3 5 1 7 2 8 4 6", 8)]
+    )
+    def test_a_flipped_primitivity_check_is_reported(self, monkeypatch, text, count):
+        """The walk compares with what ``qft._primitive_image`` says, diagram by diagram."""
+        flipped = [p - 1 for p in ChordDiagram.from_text(text).pairing[1:]]
+        original = qft._primitive_image
+        monkeypatch.setattr(
+            qft,
+            "_primitive_image",
+            lambda length, partner, spanned: original(length, partner, spanned)
+            != (partner[1 : length + 1] == flipped),
+        )
+        report = verify_bijection(4)
+        assert report.counterexamples == (text,)
+        assert report.primitive_count == count
+
+    def test_the_pairing_is_the_partner_array_of_the_image(self):
+        """The 0-based pairing reads as the image's partner array, root vertex marked 0.
+
+        The bijection walk hands this array to ``_subdivergences``, so it must
+        scan like the array ``find_subdivergences`` builds from ``chord_to_qed``.
+        """
+        for n in range(1, 7):
+            for diagram in enumerate_diagrams(n):
+                partner = [p - 1 for p in diagram.pairing]
+                assert qft._subdivergences(2 * n - 1, partner) == find_subdivergences(
+                    chord_to_qed(diagram)
+                ), diagram.to_text()
 
     def test_matches_two_connectivity_pointwise(self):
         for n in range(1, 5):
