@@ -16,7 +16,13 @@ one rotation class per shortest chord length, weighted, as ``_census``
 explains: the classes take 10.6-11.9 ms at n = 7 on the pure-Python kernel,
 where the reflected half of the plain walk took 38-46 ms, and 0.76-0.81 s
 at n = 10 on the compiled one, where it took 3.9-4.3 s (one worker, 2-vCPU
-VM, Python 3.11). The decomposition-case census drives the
+VM, Python 3.11). A census pinned to one root partner r walks that
+partition alone. For r in 3..2n-1 on n >= 3 chords the kernel folds it onto
+itself by the reflection that fixes the root chord, walking only the
+diagrams whose chord at position 2 reaches no farther forward than the
+chord at r - 1 reaches back, weighted 2, or 1 at a tie, as ``_census_py``
+explains: the 13 partitions of n = 7 take 51-54 ms on the pure-Python
+kernel, where they took 92-98 ms. The decomposition-case census drives the
 pure-Python walker, so it visits only the connected diagrams, and runs the
 same start-1 witness sweep as ``decompose_connected`` on each one that has
 a cut chord.
@@ -474,7 +480,8 @@ def class_census(
 
     The brute-force cross-check for the generating series, through the
     active kernel as ``_census`` describes: one walk per rotation class
-    l = 2..n. With ``workers`` > 1 the walks are split into
+    l = 2..n, or the folded walk of the partition a ``root_partner``
+    pins. With ``workers`` > 1 the walks are split into
     min(``workers``, walks) shares on either kernel: the calling process
     runs the first, and each other share runs in a forked child process.
     Where ``os.fork`` is missing (Windows) the shares run one after another.
@@ -502,11 +509,14 @@ def _census(
     once through its members with a root chord (1, l + 1), weighted so that
     class l gives the diagrams at each level j >= 1 whose shortest chord has
     length l. Their sums are the census, and level 0 holds all (2n-1)!!.
-    Whether a diagram is root-covered depends on position 1, so that count
-    is not rotation-invariant: a fixed ``root_partner``, n <= 1 and
-    ``case_census`` keep the plain walk. A k-connected diagram has at least
-    k chords, so a k above both n and 2 (``class_census`` asks k = 2 of
-    every n) gives (0,) with no walk.
+    A fixed ``root_partner`` walks its own partition, which the kernel
+    folds onto itself by the reflection that fixes the root chord for a
+    root partner in 3..2n-1 on n >= 3 chords (``_census_py`` explains).
+    n <= 1 keeps the plain walk, and so does ``case_census``: whether a
+    diagram is root-covered depends on position 1, so that count is not
+    rotation-invariant. A k-connected diagram has at least k chords, so a
+    k above both n and 2 (``class_census`` asks k = 2 of every n) gives
+    (0,) with no walk.
 
     With ``workers`` > 1 the walks are dealt to min(``workers``, walks)
     shares in snake order: 0, 1, ..., count - 1, count - 1, ..., 0, 0, 1,

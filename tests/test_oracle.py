@@ -2,6 +2,7 @@
 
 import os
 import time
+from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -47,6 +48,27 @@ def graph_level(diagram: ChordDiagram, k: int) -> int:
 
 ALL_LEVELS_N7 = (135135, 38232, 10113, 2187, 339, 29, 1, 1)
 ALL_LEVELS_N8 = (2027025, 593859, 161935, 37041, 6641, 771, 47, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def unfolded_tally(n: int, root_partner: int, k: int) -> tuple[int, ...]:
+    """``class_census(n, root_partner, k)`` from the plain walk, which visits
+    every connected diagram of the partition once."""
+    by_level = [0] * (k + 2)
+
+    def visit(partner, level, ends):
+        by_level[level] += 1
+
+    _census_py._walk(n, root_partner, visit, k)
+    above = [sum(by_level[j:]) for j in range(1, k + 1)]
+    return (odd_double_factorial(n - 1), *above)
+
+
+def reaches(partner: list[int], root_partner: int) -> tuple[int, int]:
+    """(f, g) of a diagram with the root chord (1, r), from 0-based partners:
+    how far the chord at 2 reaches forward and the chord at r - 1 backward."""
+    size = len(partner)
+    return partner[1] - 1, (root_partner - 2 - partner[root_partner - 2]) % size
 
 
 class TestChordDiagram:
@@ -567,13 +589,48 @@ class TestCensusBackends:
                 whole = tuple(kernel.class_census(n))
                 assert tuple(map(sum, zip(*parts))) == whole, kernel.__name__
 
-    def test_reflected_partitions_count_alike(self, census_kernels):
-        # j -> 2n+2-j fixes position 1 and keeps every crossing
+    def test_reflected_partitions_count_alike(self):
+        # j -> 2n+2-j fixes position 1 and keeps every crossing; the plain walk
+        # visits both partitions diagram by diagram
+        for n in range(1, 8):
+            for rp in range(2, 2 * n + 1):
+                mirrored = unfolded_tally(n, 2 * n + 2 - rp, 2)
+                assert unfolded_tally(n, rp, 2) == mirrored, (n, rp)
+
+    def test_folded_partitions_match_the_unfolded_walk(self, census_kernels):
         for kernel in census_kernels:
-            for n in range(1, 8):
-                parts = {rp: kernel.class_census(n, rp) for rp in range(2, 2 * n + 1)}
-                for rp, counts in parts.items():
-                    assert counts == parts[2 * n + 2 - rp], (kernel.__name__, n, rp)
+            for n in range(2, 9):
+                for k in (2,) if n == 8 else sorted({1, 2, 3, n}):
+                    for rp in range(2, 2 * n + 1):
+                        got = tuple(kernel.class_census(n, rp, k))
+                        assert got == unfolded_tally(n, rp, k), (kernel.__name__, n, rp, k)
+
+    def test_fold_visits_the_diagrams_with_f_at_most_g(self):
+        # i -> r+1-i fixes the root chord (1, r) and swaps f and g
+        for n in range(3, 7):
+            for rp in range(3, 2 * n):
+                mirrored = min(rp, 2 * n + 2 - rp)
+                expected = {}
+
+                def unfolded(partner, level, ends):
+                    f, g = reaches(partner, mirrored)
+                    if f <= g:
+                        expected[tuple(partner)] = (level, 1 + (f < g))
+
+                _census_py._walk(n, mirrored, unfolded, 3)
+                folded = {}
+
+                def visit(partner, level, ends):
+                    assert tuple(partner) not in folded, partner
+                    folded[tuple(partner)] = (level, ends)
+
+                _census_py._walk(n, rp, visit, 3, 0, True)
+                assert folded == expected, (n, rp)
+        for n, rp in ((2, 3), (4, 2), (4, 8), (0, 0)):
+            with pytest.raises(ValueError, match="a fold needs"):
+                _census_py._walk(n, rp, lambda partner, level, ends: None, 2, 0, True)
+        with pytest.raises(ValueError, match="a fold needs"):
+            _census_py._walk(4, 0, lambda partner, level, ends: None, 2, 2, True)
 
     def test_class_census_matches_full_walk(self, census_kernels, monkeypatch):
         for kernel in census_kernels:
@@ -706,7 +763,7 @@ class TestRotationClasses:
                     kernel.class_census(n, rp, 2, shortest)
 
     def test_non_integer_weight_sum_raises(self, monkeypatch):
-        def walk(n, root_partner, visit, k, shortest):
+        def walk(n, root_partner, visit, k, shortest, fold):
             visit([1, 0, 3, 2], 1, 3)  # one diagram of weight 4/3
 
         monkeypatch.setattr(_census_py, "_walk", walk)
