@@ -84,7 +84,7 @@ typedef struct {
     state_t closed, closed_highs;   /* ones and top bits over the fields tested for 1 */
     state_t twos, near, near_highs; /* twos, ones and top bits over those tested for level 1 */
     state_t update;                 /* with the ends of (p, b) in a class walk */
-    int last;                       /* the last field of the tests for v >= 2: p, or -1 */
+    int last;                       /* the last field of the tests for v >= 2: p, or -2n */
 } Close;
 
 typedef struct {
@@ -335,7 +335,9 @@ static int census(int n, int k, int root_partner, int shortest, count_t *counts)
         w->opens[b] = ones(0, b);
         for (int p = b + 1; p < size; p++) {  /* a pinned chord opens at b */
             w->closes[b][p].update = w->opens[b];
-            w->closes[b][p].last = -1;
+            /* below every window's start, b - 2n + v + 3 > -2n, so
+             * deeper_level() ends at once and reads no opens[] */
+            w->closes[b][p].last = -size;
         }
         for (int p = 0; p < b; p++) {
             Close *t = &w->closes[b][p];

@@ -99,7 +99,8 @@ def _tables(n: int, deep: bool, shortest: int) -> tuple[tuple, ...]:
     first use and shared by every walk on n chords in the class, so they
     are tuples: no walk can change them for the next. ``closes[b][p]`` and
     ``deeper[b][p]`` with p > b serve a chord pinned before the walk
-    reaches b: they open it at b, with nothing to test.
+    reaches b: they open it at b, with nothing to test, through one shared
+    entry per row. ``closes[b][b]`` is None, since no chord is (b, b).
     ``deeper`` is empty unless ``deep``: only a walk that starts above level
     2 reads it.
 
@@ -135,10 +136,7 @@ def _tables(n: int, deep: bool, shortest: int) -> tuple[tuple, ...]:
     closes = []
     for b in range(size):
         row = []
-        for p in range(size):
-            if p >= b:  # a chord pinned to p > b opens at b: nothing to test
-                row.append((0, 0, 0, 0, 0, opens[b]))
-                continue
+        for p in range(b):
             closed = ones(1 if b == size - 1 else 0, p)  # [0, 2n-1] is the whole diagram
             near = ones(max(0, b - size + 4), p)  # at most 2n-3 positions
             row.append((
@@ -146,6 +144,8 @@ def _tables(n: int, deep: bool, shortest: int) -> tuple[tuple, ...]:
                 ones(p + 1, b) - ones(0, p)
                 + ((b - p == shortest) + (b - p == size - shortest) << size * width),
             ))
+        # p = b is never read; a chord pinned to p > b opens at b, testing nothing
+        row += [None] + [(0, 0, 0, 0, 0, opens[b])] * (size - b - 1)
         closes.append(tuple(row))
     deeper = tuple(
         tuple(level_tests(b, p) if p < b else () for p in range(size))
@@ -167,6 +167,11 @@ def _deeper_level(state: int, tests: tuple, level: int) -> int:
         if (y - window) & ~y & highs:
             return v
     return level
+
+
+def _folds(n: int, root_partner: int, shortest: int) -> bool:
+    """Whether ``class_census`` folds the partition (the module docstring says how)."""
+    return not shortest and n >= 3 and 3 <= root_partner < 2 * n
 
 
 def _walk(
@@ -242,7 +247,7 @@ def _walk(
             raise ValueError(f"a class lies in 1..{n} and fixes the root partner")
         root_partner = shortest + 1
     if fold:
-        if shortest or not (n >= 3 and 3 <= root_partner < size):
+        if not _folds(n, root_partner, shortest):
             raise ValueError(f"a fold needs n >= 3 and a root partner in 3..{size - 1}")
         root_partner = min(root_partner, size + 2 - root_partner)
     opens, closes, deeper, first, stop = _tables(n, min(k, n) > 2, shortest)
@@ -392,7 +397,7 @@ def class_census(
     def visit(partner: list[int], level: int, ends: int) -> None:
         hist[level][ends] += 1
 
-    fold = not shortest and n >= 3 and 3 <= root_partner < size
+    fold = _folds(n, root_partner, shortest)
     _walk(n, root_partner, visit, k, shortest, fold)
     counts = [0] * (k + 2)  # levels above n stay 0
     for level in range(min(k, n), 0, -1):
