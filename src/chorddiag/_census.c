@@ -62,10 +62,11 @@
  * 2n), two per chord when l = n, and c(M) of its 2n rotations (with repeats
  * when M is symmetric) lie in the class, so the weights 2n/c over the class
  * sum to the diagrams of each level whose shortest chord has length l. The
- * closes add c in a field above the counts, the leaves count by level and
- * c, and census() sums the weights exactly. The classes l = 2..n take 41-46 ms at n = 9
- * against 218-225 ms for the reflected half of the plain walk (one thread,
- * 2-vCPU VM, gcc -O2).
+ * closes add c in a field above the counts.
+ *
+ * Every walk's leaves count by the one leaf rule that _census_py's module
+ * docstring states: each leaf adds weight[e] for the e in its ends field to
+ * the tally of its level, and census() divides each tally exactly.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -94,7 +95,8 @@ typedef struct {
     int stop[2 * MAX_CHORDS];        /* first[b]..stop[b]-1 */
     state_t opens[2 * MAX_CHORDS];   /* ones over fields 0..b */
     Close closes[2 * MAX_CHORDS][2 * MAX_CHORDS];  /* [b][p] */
-    count_t hist[MAX_CHORDS + 1][2 * MAX_CHORDS + 1];  /* diagrams by level and ends */
+    count_t weight[2 * MAX_CHORDS + 1];  /* what a leaf adds to its level's tally, by ends */
+    state_t tally[MAX_CHORDS + 1];       /* lcm(1..2n)/2n times the diagrams of each level */
 } Walk;
 
 static state_t ones(int lo, int hi)
@@ -165,7 +167,7 @@ static void place(Walk *w, int b, int c, state_t state, int level)
     if (b < 0)
         return;
     if (b == w->size) {
-        w->hist[level][(int)(state >> ENDS_SHIFT)]++;
+        w->tally[level] += w->weight[(int)(state >> ENDS_SHIFT)];
         return;
     }
     state += w->opens[b];
@@ -186,7 +188,7 @@ static void place(Walk *w, int b, int c, state_t state, int level)
             w->partner[b] = f;
             w->partner[f] = b;
             if (close_run(w, f, &state, &level) >= 0)
-                w->hist[level][(int)(state >> ENDS_SHIFT)]++;
+                w->tally[level] += w->weight[(int)(state >> ENDS_SHIFT)];
             w->partner[b] = w->partner[f] = -1;
         }
         return;
@@ -203,10 +205,10 @@ static void place(Walk *w, int b, int c, state_t state, int level)
 }
 
 /* Walk from position 1 with the chords pinned so far, c of them with the
- * root chord, each diagram weighted 1 or 2 in the ends field. */
-static void walk_pinned(Walk *w, int c, int weight, int top)
+ * root chord, and ends in the ends field of every leaf. */
+static void walk_pinned(Walk *w, int c, int ends, int top)
 {
-    place(w, 1, c, w->opens[0] + ((state_t)weight << ENDS_SHIFT), top);
+    place(w, 1, c, w->opens[0] + ((state_t)ends << ENDS_SHIFT), top);
 }
 
 static void pin(Walk *w, int a, int b)
@@ -215,14 +217,14 @@ static void pin(Walk *w, int a, int b)
     w->partner[b] = a;
 }
 
-/* Pin the mirror's chord to a free q as well and walk, weighted 2 when
- * g > f, else 1. */
+/* Pin the mirror's chord to a free q as well and walk, with ends n when
+ * g > f, else 0. */
 static void pin_mirror(Walk *w, int q, int mirror, int apart, int top)
 {
     if (w->partner[q] >= 0)
         return;
     pin(w, q, mirror);
-    walk_pinned(w, 3, 1 + apart, top);
+    walk_pinned(w, 3, w->n * apart, top);
     w->partner[q] = w->partner[mirror] = -1;
 }
 
@@ -239,9 +241,9 @@ static void fold(Walk *w, int mirror, int top)
         pin(w, 1, j);
         if (mirror == 1) {  /* position 1 is its own mirror: g = 2n - f */
             if (reach <= w->n)
-                walk_pinned(w, 2, 1 + (reach < w->n), top);
+                walk_pinned(w, 2, w->n * (reach < w->n), top);
         } else if (j == mirror) {  /* the chord (1, mirror): g = f */
-            walk_pinned(w, 2, 1, top);
+            walk_pinned(w, 2, 0, top);
         } else {  /* the mirror's partner q, at g = (mirror - q) mod 2n >= f */
             for (int q = 2; q <= mirror - reach; q++)
                 pin_mirror(w, q, mirror, mirror - q > reach, top);
@@ -268,9 +270,9 @@ static count_t gcd(count_t a, count_t b)
  * size of the walked set in closed form: (2n-1)!!, or (2n-3)!! with a
  * pinned root partner. A shortest of l in 1..n walks class l instead: root
  * partner l + 1, chords of cyclic length at least l, and for j >= 1 the
- * weights 2n/c summed exactly over the c ends counted at each leaf; then
+ * weights 2n/c of the c ends counted at each leaf; then
  * counts[0] = counts[1]. Returns -1 with an exception set on bad input or
- * a sum that is not an integer, so counts, which has room for
+ * a level whose count is not an integer, so counts, which has room for
  * MAX_CHORDS + 1 levels, is never written past its end.
  *
  * A root partner r in 3..2n-1 on n >= 3 chords is folded onto itself, as
@@ -278,20 +280,19 @@ static count_t gcd(count_t a, count_t b)
  * (1, r), keeps every crossing and swaps positions 2 and r - 1, and with
  * them f = partner(2) - 2, how far the chord at 2 reaches forward, and
  * g = (r - 1 - partner(r - 1)) mod 2n, how far the chord at r - 1 reaches
- * backward. So fold() walks only the diagrams with f <= g, weighted 2, or 1
- * when f = g; for r = 3 the two positions coincide and the rule reads
+ * backward. So fold() walks only the diagrams with f <= g, with ends n, or
+ * 0 when f = g; for r = 3 the two positions coincide and the rule reads
  * partner(2) - 2 <= n. An r > n + 1 is first sent to 2n + 2 - r by the
  * reflection i -> 2 - i. fold() pins the chord at 2, then the chord at
  * r - 1 at each partner that keeps g >= f: one before it at most
  * r - 1 - f, or one after it at most 2n + r - 1 - f. Then place() walks the
- * rest from position 2, with the weight in the ends field; a pinned chord
+ * rest from position 2, with those ends in the ends field; a pinned chord
  * opens through the Close entry [b][p] with p > b, which tests nothing.
  * The hoisted closes still need no closed test: an interval they would
  * test that starts after the opener ends at the far end of the chord at
  * r - 1 and holds r, or the positions between that chord's ends, whose
  * partners lie before the opener. Root partners 2 and 2n, and n <= 2, keep
- * the plain walk. The 19 partitions of n = 10 take 4.6-4.9 s on one
- * thread, where the plain walks took 9.3-10.0 s (2-vCPU VM, gcc -O2). */
+ * the plain walk. */
 static int census(int n, int k, int root_partner, int shortest, count_t *counts)
 {
     if (n < 0 || n > MAX_CHORDS) {
@@ -325,6 +326,12 @@ static int census(int n, int k, int root_partner, int shortest, count_t *counts)
     }
     w->n = n;
     w->size = size;
+    count_t lcm = 1;  /* of the possible ends 1..2n */
+    for (int e = 2; e <= size; e++)
+        lcm = lcm / gcd(lcm, e) * e;
+    w->weight[0] = lcm / (size ? size : 1);  /* n = 0 has one leaf, at level 0 */
+    for (int e = 1; e <= size; e++)
+        w->weight[e] = lcm / e;
     int gap = n >= 2 ? 2 : 1;  /* (b, b+1) closes a proper interval when n >= 2 */
     if (shortest > gap)
         gap = shortest;
@@ -371,27 +378,16 @@ static int census(int n, int k, int root_partner, int shortest, count_t *counts)
     }
     Py_END_ALLOW_THREADS
 
-    count_t lcm = 1;  /* of the possible ends 1..2n */
-    for (int e = 2; e <= size; e++)
-        lcm = lcm / gcd(lcm, e) * e;
+    /* a leaf adds at most lcm(1..20) < 2^28 and a level holds at most
+     * 19!! < 6.5e8 < 2^30 leaves at n = 10, so 2n times a tally stays below 2^63 */
     count_t above = 0;
     for (int j = k; j >= 1; j--) {
-        if (folded)
-            counts[j] = above += w->hist[j][1] + 2 * w->hist[j][2];
-        else if (!shortest)
-            counts[j] = above += w->hist[j][0];
-        else {
-            state_t sum = 0;  /* lcm/2n times the weighted count: 2n * sum < 2^68 */
-            for (int e = 1; e <= size; e++)
-                sum += (state_t)w->hist[j][e] * (lcm / e);
-            if (sum * size % lcm) {
-                PyErr_Format(PyExc_ArithmeticError,
-                             "class %d sums to no integer at level %d", shortest, j);
-                PyMem_Free(w);
-                return -1;
-            }
-            counts[j] = above += (count_t)(sum * size / lcm);
+        if (w->tally[j] * size % lcm) {
+            PyErr_Format(PyExc_ArithmeticError, "level %d sums to no integer", j);
+            PyMem_Free(w);
+            return -1;
         }
+        counts[j] = above += (count_t)(w->tally[j] * size / lcm);
     }
     /* a class walk's entry 0 repeats entry 1; a plain walk covers (2m-1)!!
      * diagrams, m the chords not pinned by the root */

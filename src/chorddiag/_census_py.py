@@ -54,34 +54,36 @@ length l has c(M) positions whose partner lies l on (mod 2n), two per chord
 when l = n, and c(M) of its 2n rotations (with repeats when M is symmetric)
 bring one of them to position 1 and so lie in the class. So the weights
 2n/c over the class sum, at each level, to the diagrams whose shortest
-chord has length l. The closes carry c in the packed state, and the
-weights are summed exactly at the end. The classes l = 2..n take
-10.6-11.9 ms at n = 7 and 0.14-0.17 s at n = 8, where the reflected half of
-the plain walk took 38-46 ms and 0.64-0.75 s (2-vCPU VM, Python 3.11).
+chord has length l. The closes carry c in the packed state.
 
 A pinned root partner r in 3..2n-1 on n >= 3 chords is folded onto
 itself. The reflection i -> r + 1 - i (mod 2n) fixes the root chord (1, r),
 keeps every crossing and so every level, and swaps positions 2 and r - 1.
 It swaps f = partner(2) - 2, how far the chord at 2 reaches forward, with
 g = (r - 1 - partner(r - 1)) mod 2n, how far the chord at r - 1 reaches
-backward. So the fold walks only the diagrams with f <= g, each weighted
-2, or 1 when f = g. For r = 3 the two positions coincide and the rule
-reads partner(2) - 2 <= n. A root partner r > n + 1 is first sent to
+backward. So the fold walks only the diagrams with f <= g, each standing
+for 2, or for 1 when f = g. For r = 3 the two positions coincide and the
+rule reads partner(2) - 2 <= n. A root partner r > n + 1 is first sent to
 2n + 2 - r by the reflection i -> 2 - i, so that r - 1 comes early. The
 fold pins the chord at 2, then the chord at r - 1 at each partner that
 keeps g >= f: one before it at most r - 1 - f, or one after it at most
-2n + r - 1 - f. Then it walks the rest from position 2, with the weight in
-the ends field. At n = 7 the folds of r = 3..13 make 53,924 ``place``
-calls and reach 22,200 leaves, where the plain walks made 89,811 and
-reached 38,232. The 13 partitions r = 2..14 take 51-54 ms, where they took
-92-98 ms. Root partners 2 and 2n, and n <= 2, keep the plain walk.
+2n + r - 1 - f. Then it walks the rest from position 2, with n in the ends
+field when f < g and 0 at a tie. Root partners 2 and 2n, and n <= 2, keep
+the plain walk.
+
+Every walk leaves the same leaf: ``visit(partner, level, ends)``. A leaf
+with ``ends`` e >= 1 stands for 2n/e diagrams, and one with ``ends`` 0 for
+one diagram: a class leaf carries its c, a fold leaf n or 0, and a leaf of
+a plain walk 0. ``class_census`` adds lcm(1..2n)/e for each leaf, or
+lcm(1..2n)/2n for e = 0, to one integer tally per level, and turns each
+tally into a count with one exact division by lcm(1..2n)/2n. A remainder
+raises ArithmeticError, whatever the walk.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 MAX_K = 10  # the compiled twin's bound on k (its MAX_CHORDS), so both reject alike
 
@@ -169,24 +171,18 @@ def _deeper_level(state: int, tests: tuple, level: int) -> int:
     return level
 
 
-def _folds(n: int, root_partner: int, shortest: int) -> bool:
-    """Whether ``class_census`` folds the partition (the module docstring says how)."""
-    return not shortest and n >= 3 and 3 <= root_partner < 2 * n
-
-
-def _walk(
-    n: int, root_partner: int, visit, k: int = 2, shortest: int = 0, fold: bool = False
-) -> None:
+def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> None:
     """Call ``visit(partner, level, ends)`` once per connected diagram on n chords.
 
     ``partner[i]`` is the 0-based partner of position i; the list is reused,
     so ``visit`` must not keep it. ``level`` is the highest j <= k for which
     the diagram is j-connected, so with n >= 2 a level of 1 means that one
-    chord's removal disconnects it. ``ends`` is 0 except in a class walk
-    or a fold (below). Diagrams are visited in enumeration order, and the empty
-    diagram (n = 0) is visited too, at level 0. ``root_partner`` (1-based
-    position, 0 for unrestricted) pins the partner of position 1. The
-    disconnected diagrams are not visited.
+    chord's removal disconnects it. ``ends`` says how many diagrams the leaf
+    stands for, by the leaf rule of the module docstring. Diagrams are
+    visited in enumeration order, and the empty diagram (n = 0) is visited
+    too, at level 0. ``root_partner`` (1-based position, 0 for
+    unrestricted) pins the partner of position 1. The disconnected diagrams
+    are not visited.
 
     The counts live in one integer: field a holds the external count of
     [a, b-1] while position b is next. Opening a chord at b adds 1 to fields
@@ -226,16 +222,16 @@ def _walk(
     positions on (mod 2n), which the closes sum in a field above the
     counts; a chord of length n has two such ends.
 
-    With ``fold`` the walk visits only the diagrams of the root partner's
-    fold (the module docstring says which), each with ``ends`` 2, or 1 when
-    f = g. The chords at positions 2 and r - 1 are pinned before ``place``
-    starts, and a chord pinned to a later position opens through
-    ``closes[b][p]`` with p > b, which tests nothing. The hoisted run's
-    closed test still cannot fire. An interval it would test that starts
-    after b ends at the far end of the chord at r - 1. It holds r, the
-    root's partner, when that chord runs forward, and otherwise the
-    positions between the chord's ends, which are not adjacent and whose
-    partners lie before b.
+    A root partner r in 3..2n-1 on n >= 3 chords, with no ``shortest``, is
+    folded: the walk visits only the diagrams of its fold (the module
+    docstring says which), each with ``ends`` n, or 0 when f = g. The
+    chords at positions 2 and r - 1 are pinned before ``place`` starts, and
+    a chord pinned to a later position opens through ``closes[b][p]`` with
+    p > b, which tests nothing. The hoisted run's closed test still cannot
+    fire. An interval it would test that starts after b ends at the far end
+    of the chord at r - 1. It holds r, the root's partner, when that chord
+    runs forward, and otherwise the positions between the chord's ends,
+    which are not adjacent and whose partners lie before b.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
@@ -246,9 +242,8 @@ def _walk(
         if root_partner or not 1 <= shortest <= n:
             raise ValueError(f"a class lies in 1..{n} and fixes the root partner")
         root_partner = shortest + 1
+    fold = not shortest and n >= 3 and 3 <= root_partner < size
     if fold:
-        if not _folds(n, root_partner, shortest):
-            raise ValueError(f"a fold needs n >= 3 and a root partner in 3..{size - 1}")
         root_partner = min(root_partner, size + 2 - root_partner)
     opens, closes, deeper, first, stop = _tables(n, min(k, n) > 2, shortest)
     shift = size * _width(n)  # the ends field of the state
@@ -320,9 +315,9 @@ def _walk(
                 partner[j] = -1
         partner[b] = -1
 
-    def pinned(c: int, weight: int) -> None:
-        # c chords are pinned, the root chord among them; the ends field holds the weight
-        place(1, c, opens[0] + (weight << shift), min(k, n))
+    def pinned(c: int, ends: int) -> None:
+        # c chords are pinned, the root chord among them
+        place(1, c, opens[0] + (ends << shift), min(k, n))
 
     def pin(a: int, b: int) -> None:
         partner[a] = b
@@ -343,16 +338,16 @@ def _walk(
         pin(1, j)
         if mirror == 1:  # position 1 is its own mirror: g = 2n - f
             if reach <= n:
-                pinned(2, 1 + (reach < n))
+                pinned(2, n * (reach < n))
         elif j == mirror:  # the chord (1, mirror): g = f
-            pinned(2, 1)
+            pinned(2, 0)
         else:  # the mirror's partner q, at g = (mirror - q) mod 2n >= f
             before = range(2, mirror - reach + 1)
             after = range(mirror + 2, min(size, size + mirror - reach + 1))
             for q in (*before, *after):
                 if partner[q] < 0:
                     pin(q, mirror)
-                    pinned(3, 1 + ((mirror - q) % size > reach))
+                    pinned(3, n * ((mirror - q) % size > reach))
                     partner[q] = -1
             partner[mirror] = -1
         partner[j] = -1
@@ -376,7 +371,7 @@ def class_census(
 
     A ``root_partner`` r in 3..2n-1 on n >= 3 chords folds the partition
     onto itself by the reflection that fixes its root chord, as the module
-    docstring explains, and sums the weights 2 and 1 of the folded walk.
+    docstring explains.
 
     A ``shortest`` of l in 1..n counts, for j >= 1, the j-connected
     diagrams whose shortest chord has cyclic length l, min(v - u, 2n - v + u)
@@ -384,34 +379,31 @@ def class_census(
     the 2n rotations of the circle, so each rotation class with shortest
     length l is walked through its members with a chord (1, l + 1), each
     weighted 2n/c for the c positions whose partner lies l on (mod 2n); the
-    weights of a class sum to its size. A level whose sum is not an integer
-    raises ArithmeticError. Entry 0 then repeats entry 1.
+    weights of a class sum to its size. Entry 0 then repeats entry 1.
+
+    Every walk's leaves count by the one rule of the module docstring, and
+    a level whose count is not an integer raises ArithmeticError.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be at least 1 and at most {MAX_K}")
     size = 2 * n
-    hist = [[0] * (size + 1) for _ in range(min(k, n) + 1)]  # [level][ends]
+    lcm_ends = lcm(*range(1, size + 1))
+    # what a leaf adds to its level's tally, by ends; n = 0 has one leaf, at level 0
+    weight = [lcm_ends // max(size, 1)] + [lcm_ends // e for e in range(1, size + 1)]
+    tally = [0] * (min(k, n) + 1)  # lcm_ends/2n times the diagrams of each level
 
     def visit(partner: list[int], level: int, ends: int) -> None:
-        hist[level][ends] += 1
+        tally[level] += weight[ends]
 
-    fold = _folds(n, root_partner, shortest)
-    _walk(n, root_partner, visit, k, shortest, fold)
+    _walk(n, root_partner, visit, k, shortest)
     counts = [0] * (k + 2)  # levels above n stay 0
     for level in range(min(k, n), 0, -1):
-        if shortest:
-            weighted = sum(
-                Fraction(size * count, ends) for ends, count in enumerate(hist[level]) if count
-            )
-            if weighted.denominator != 1:
-                raise ArithmeticError(f"class {shortest} sums to {weighted} at level {level}")
-        elif fold:
-            weighted = hist[level][1] + 2 * hist[level][2]
-        else:
-            weighted = hist[level][0]
-        counts[level] = counts[level + 1] + int(weighted)
+        count, rest = divmod(size * tally[level], lcm_ends)
+        if rest:
+            raise ArithmeticError(f"level {level} sums to no integer")
+        counts[level] = counts[level + 1] + count
     # a plain walk covers (2m-1)!! diagrams, m the chords not pinned by the root
     counts[0] = counts[1] if shortest else prod(range(1, 2 * (n - bool(root_partner)), 2))
     return tuple(counts[: k + 1])

@@ -37,6 +37,12 @@ DEFAULT_ORDER_CAP = 850
 ORDER_CAP_ENV_VAR = "CHORDDIAG_ORDER_CAP"
 SERIES_CSV_HEADER = ["index", "num", "den"]
 CLASS_K = {"all": 0, "connected": 1, "2connected": 2}
+# the families with an alien image: their image builder and exact series builder
+# (C2's series starts at order 2)
+IMAGE_FAMILIES = {
+    "C": (alien.alien_connected, gf.series_connected),
+    "C2": (alien.alien_two_connected, lambda order: gf.series_two_connected(max(order, 2))),
+}
 
 
 class UsageError(Exception):
@@ -160,11 +166,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_alien(args) -> int:
     _check_order("--order", args.order)
-    image = (
-        alien.alien_connected(args.order)
-        if args.family == "C"
-        else alien.alien_two_connected(args.order)
-    )
+    image = IMAGE_FAMILIES[args.family][0](args.order)
     with _long_ints():
         record = {
             "family": args.family,
@@ -194,12 +196,9 @@ def cmd_estimate(args) -> int:
     _check_order("--terms", args.terms)
     _check_order("--n-to", args.n_to)
     order = max(args.terms - 1, 1)
-    if args.family == "C":
-        image = alien.alien_connected(order)
-        exact_series = gf.series_connected(args.n_to)
-    else:
-        image = alien.alien_two_connected(order)
-        exact_series = gf.series_two_connected(max(args.n_to, 2))
+    image_of, series_of = IMAGE_FAMILIES[args.family]
+    image = image_of(order)
+    exact_series = series_of(args.n_to)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = asymptotics.error_table(
@@ -453,13 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("alien", help="asymptotic-expansion image of a family")
-    p.add_argument("--family", choices=["C", "C2"], required=True)
+    p.add_argument("--family", choices=list(IMAGE_FAMILIES), required=True)
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     p.set_defaults(func=cmd_alien)
 
     p = sub.add_parser("estimate", help="asymptotic estimates vs exact counts")
-    p.add_argument("--family", choices=["C", "C2"], default="C2")
+    p.add_argument("--family", choices=list(IMAGE_FAMILIES), default="C2")
     p.add_argument("--terms", type=int, default=6)
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)

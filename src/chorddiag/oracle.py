@@ -12,17 +12,11 @@ enumerate diagrams in the same deterministic order (smallest free position
 is matched first, partners tried left to right), skip the same disconnected
 subtrees and read connectivity off the intervals of positions, as
 ``_census_py`` explains. A census of every diagram on n >= 2 chords walks
-one rotation class per shortest chord length, weighted, as ``_census``
-explains: the classes take 10.6-11.9 ms at n = 7 on the pure-Python kernel,
-where the reflected half of the plain walk took 38-46 ms, and 0.76-0.81 s
-at n = 10 on the compiled one, where it took 3.9-4.3 s (one worker, 2-vCPU
-VM, Python 3.11). A census pinned to one root partner r walks that
-partition alone. For r in 3..2n-1 on n >= 3 chords the kernel folds it onto
-itself by the reflection that fixes the root chord, walking only the
-diagrams whose chord at position 2 reaches no farther forward than the
-chord at r - 1 reaches back, weighted 2, or 1 at a tie, as ``_census_py``
-explains: the 13 partitions of n = 7 take 51-54 ms on the pure-Python
-kernel, where they took 92-98 ms. The decomposition-case census drives the
+one rotation class per shortest chord length. A census pinned to one root
+partner r walks that partition alone; for r in 3..2n-1 on n >= 3 chords
+the kernel folds it onto itself by the reflection that fixes the root
+chord. Both count their diagrams by the kernels' one leaf rule, which
+``_census_py`` states. The decomposition-case census drives the
 pure-Python walker, so it visits only the connected diagrams, and runs the
 same start-1 witness sweep as ``decompose_connected`` on each one that has
 a cut chord.

@@ -51,17 +51,37 @@ ALL_LEVELS_N8 = (2027025, 593859, 161935, 37041, 6641, 771, 47, 1, 1)
 
 
 @lru_cache(maxsize=None)
-def unfolded_tally(n: int, root_partner: int, k: int) -> tuple[int, ...]:
-    """``class_census(n, root_partner, k)`` from the plain walk, which visits
-    every connected diagram of the partition once."""
-    by_level = [0] * (k + 2)
+def unfolded_tallies(n: int, k: int) -> dict[int, tuple[int, ...]]:
+    """``class_census(n, r, k)`` for every root partner r, from the one
+    unpinned walk, which visits every connected diagram once: each leaf
+    counts in the partition of its position 1's partner."""
+    by_partner = {rp: [0] * (k + 2) for rp in range(2, 2 * n + 1)}
 
     def visit(partner, level, ends):
-        by_level[level] += 1
+        by_partner[partner[0] + 1][level] += 1
 
-    _census_py._walk(n, root_partner, visit, k)
-    above = [sum(by_level[j:]) for j in range(1, k + 1)]
-    return (odd_double_factorial(n - 1), *above)
+    _census_py._walk(n, 0, visit, k)
+    return {
+        rp: (odd_double_factorial(n - 1), *(sum(by_level[j:]) for j in range(1, k + 1)))
+        for rp, by_level in by_partner.items()
+    }
+
+
+def unfolded_tally(n: int, root_partner: int, k: int) -> tuple[int, ...]:
+    return unfolded_tallies(n, k)[root_partner]
+
+
+@lru_cache(maxsize=None)
+def unpinned_leaves(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every leaf (partner, level) of the unpinned walk, in the walk's order."""
+    leaves = []
+
+    def visit(partner, level, ends):
+        assert ends == 0 and level >= 1, (partner, level, ends)
+        leaves.append((tuple(partner), level))
+
+    _census_py._walk(n, 0, visit, k)
+    return tuple(leaves)
 
 
 def reaches(partner: list[int], root_partner: int) -> tuple[int, int]:
@@ -512,25 +532,27 @@ class TestCensusBackends:
             return len(seen) == len(chords)
 
         for n in range(1, 7):
-            for rp in (0, *range(2, 2 * n + 1)):
-                top = {}  # the full level of each connected diagram
-                for d in enumerate_diagrams(n):
-                    partner = tuple(q - 1 for q in d.pairing)
-                    if (not rp or d.pairing[0] == rp) and connected(partner):
-                        top[partner] = graph_level(d, n + 1)
-                for k in (1, 2, 3, n + 1):
-                    leaves = {}
+            top = {}  # the full level of each connected diagram
+            for d in enumerate_diagrams(n):
+                partner = tuple(q - 1 for q in d.pairing)
+                if connected(partner):
+                    top[partner] = graph_level(d, n + 1)
+            # the root partners that keep the plain pinned walk
+            plain = (2, 2 * n) if n >= 3 else range(2, 2 * n + 1)
+            for k in (1, 2, 3, n + 1):
+                expected = tuple((partner, min(level, k)) for partner, level in top.items())
+                assert unpinned_leaves(n, k) == expected, (n, k)  # in enumeration order
+                for rp in plain:
+                    leaves = []
 
                     def visit(partner, level, ends):
-                        assert ends == 0 and level >= 1, (partner, level, ends)
-                        leaves[tuple(partner)] = level
+                        assert ends == 0, (partner, level, ends)
+                        leaves.append((tuple(partner), level))
 
                     _census_py._walk(n, rp, visit, k)
-                    expected = {partner: min(level, k) for partner, level in top.items()}
-                    assert leaves == expected, (n, rp, k)
-                    assert list(leaves) == list(expected), (n, rp, k)  # enumeration order
-                if (n, rp) == (6, 0):
-                    assert len(leaves) == 2830
+                    part = [leaf for leaf in expected if leaf[0][0] == rp - 1]
+                    assert leaves == part, (n, rp, k)
+        assert len(top) == 2830  # n = 6
 
     def test_walk_totals_n7(self):
         by_level = [0] * 8
@@ -611,26 +633,19 @@ class TestCensusBackends:
             for rp in range(3, 2 * n):
                 mirrored = min(rp, 2 * n + 2 - rp)
                 expected = {}
-
-                def unfolded(partner, level, ends):
-                    f, g = reaches(partner, mirrored)
-                    if f <= g:
-                        expected[tuple(partner)] = (level, 1 + (f < g))
-
-                _census_py._walk(n, mirrored, unfolded, 3)
+                for partner, level in unpinned_leaves(n, 3):
+                    if partner[0] == mirrored - 1:
+                        f, g = reaches(partner, mirrored)
+                        if f <= g:  # a leaf of ends n stands for 2 diagrams, of ends 0 for 1
+                            expected[partner] = (level, n if f < g else 0)
                 folded = {}
 
                 def visit(partner, level, ends):
                     assert tuple(partner) not in folded, partner
                     folded[tuple(partner)] = (level, ends)
 
-                _census_py._walk(n, rp, visit, 3, 0, True)
+                _census_py._walk(n, rp, visit, 3)
                 assert folded == expected, (n, rp)
-        for n, rp in ((2, 3), (4, 2), (4, 8), (0, 0)):
-            with pytest.raises(ValueError, match="a fold needs"):
-                _census_py._walk(n, rp, lambda partner, level, ends: None, 2, 0, True)
-        with pytest.raises(ValueError, match="a fold needs"):
-            _census_py._walk(4, 0, lambda partner, level, ends: None, 2, 2, True)
 
     def test_class_census_matches_full_walk(self, census_kernels, monkeypatch):
         for kernel in census_kernels:
@@ -763,12 +778,13 @@ class TestRotationClasses:
                     kernel.class_census(n, rp, 2, shortest)
 
     def test_non_integer_weight_sum_raises(self, monkeypatch):
-        def walk(n, root_partner, visit, k, shortest, fold):
-            visit([1, 0, 3, 2], 1, 3)  # one diagram of weight 4/3
+        def walk(n, root_partner, visit, k, shortest):
+            visit([1, 0, 3, 2, 5, 4], 1, 4)  # one leaf standing for 6/4 diagrams
 
         monkeypatch.setattr(_census_py, "_walk", walk)
-        with pytest.raises(ArithmeticError, match="class 2 sums to 4/3 at level 1"):
-            _census_py.class_census(2, 0, 2, 2)
+        for rp, shortest in ((0, 0), (3, 0), (0, 2)):  # a plain walk, a fold and a class
+            with pytest.raises(ArithmeticError, match="level 1 sums to no integer"):
+                _census_py.class_census(3, rp, 2, shortest)
 
 
 def assert_no_child_left():
