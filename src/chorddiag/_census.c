@@ -38,10 +38,8 @@
  * the only free position left, so no child is entered either: the parent
  * pairs b with f, runs the closes f..2n-1 with both tests through the same
  * close_run() as the leading closes and classifies the one diagram unless
- * a closed hit shows it disconnected. A root chord to position 2n crosses
- * no chord, so for n >= 2 census() walks nothing of that partition, and
- * census() folds every other pinned partition on n >= 3 chords onto itself
- * (see there).
+ * a closed hit shows it disconnected. census() walks root partner 2n as 2
+ * and folds every pinned partition but 2's onto itself (see there).
  *
  * The counts live in one unsigned __int128: field a, WIDTH bits wide with a
  * spare top bit, holds the external count of [a, b-1]. Opening a chord at b
@@ -217,17 +215,6 @@ static void pin(Walk *w, int a, int b)
     w->partner[b] = a;
 }
 
-/* Pin the mirror's chord to a free q as well and walk, with ends n when
- * g > f, else 0. */
-static void pin_mirror(Walk *w, int q, int mirror, int apart, int top)
-{
-    if (w->partner[q] >= 0)
-        return;
-    pin(w, q, mirror);
-    walk_pinned(w, 3, w->n * apart, top);
-    w->partner[q] = w->partner[mirror] = -1;
-}
-
 /* The fold of the partition with the root chord (0, mirror + 1), mirror >= 1:
  * position 1's partner j gives f = j - 1, the mirror's partner q gives
  * g = (mirror - q) mod 2n, and only the diagrams with f <= g are walked. */
@@ -239,16 +226,19 @@ static void fold(Walk *w, int mirror, int top)
             continue;
         int reach = j - 1;
         pin(w, 1, j);
-        if (mirror == 1) {  /* position 1 is its own mirror: g = 2n - f */
-            if (reach <= w->n)
-                walk_pinned(w, 2, w->n * (reach < w->n), top);
-        } else if (j == mirror) {  /* the chord (1, mirror): g = f */
-            walk_pinned(w, 2, 0, top);
+        if (w->partner[mirror] >= 0) {  /* r = 3, or the chord (2, r - 1) */
+            int g = (mirror - w->partner[mirror] + size) % size;
+            if (g >= reach)
+                walk_pinned(w, 2, w->n * (g > reach), top);
         } else {  /* the mirror's partner q, at g = (mirror - q) mod 2n >= f */
-            for (int q = 2; q <= mirror - reach; q++)
-                pin_mirror(w, q, mirror, mirror - q > reach, top);
-            for (int q = mirror + 2; q < size && q <= size + mirror - reach; q++)
-                pin_mirror(w, q, mirror, size + mirror - q > reach, top);
+            for (int q = 2; q < size; q++) {
+                int g = (mirror - q + size) % size;
+                if (w->partner[q] < 0 && g >= reach) {
+                    pin(w, q, mirror);
+                    walk_pinned(w, 3, w->n * (g > reach), top);
+                    w->partner[q] = w->partner[mirror] = -1;
+                }
+            }
         }
         w->partner[j] = -1;
     }
@@ -275,24 +265,26 @@ static count_t gcd(count_t a, count_t b)
  * a level whose count is not an integer, so counts, which has room for
  * MAX_CHORDS + 1 levels, is never written past its end.
  *
- * A root partner r in 3..2n-1 on n >= 3 chords is folded onto itself, as
- * in the twin. The reflection i -> r + 1 - i (mod 2n) fixes the root chord
- * (1, r), keeps every crossing and swaps positions 2 and r - 1, and with
- * them f = partner(2) - 2, how far the chord at 2 reaches forward, and
+ * A pinned partition follows one rule, as in the twin. An r > n + 1 is
+ * first sent to 2n + 2 - r by the reflection i -> 2 - i (mod 2n), which
+ * keeps every level, so 2n becomes 2, whose chord (1, 2) closes a proper
+ * interval at the first close when n >= 2; root partner 2 keeps the plain
+ * walk. Every other r is folded onto itself. The reflection
+ * i -> r + 1 - i (mod 2n) fixes the root chord (1, r), keeps every
+ * crossing and swaps positions 2 and r - 1, and with them
+ * f = partner(2) - 2, how far the chord at 2 reaches forward, and
  * g = (r - 1 - partner(r - 1)) mod 2n, how far the chord at r - 1 reaches
  * backward. So fold() walks only the diagrams with f <= g, with ends n, or
- * 0 when f = g; for r = 3 the two positions coincide and the rule reads
- * partner(2) - 2 <= n. An r > n + 1 is first sent to 2n + 2 - r by the
- * reflection i -> 2 - i. fold() pins the chord at 2, then the chord at
- * r - 1 at each partner that keeps g >= f: one before it at most
- * r - 1 - f, or one after it at most 2n + r - 1 - f. Then place() walks the
- * rest from position 2, with those ends in the ends field; a pinned chord
- * opens through the Close entry [b][p] with p > b, which tests nothing.
- * The hoisted closes still need no closed test: an interval they would
- * test that starts after the opener ends at the far end of the chord at
- * r - 1 and holds r, or the positions between that chord's ends, whose
- * partners lie before the opener. Root partners 2 and 2n, and n <= 2, keep
- * the plain walk. */
+ * 0 when f = g. It pins the chord at 2; when that places the chord at
+ * r - 1 too (r = 3, or the chord (2, r - 1)) it walks if g >= f, and
+ * otherwise it pins the chord at r - 1 to each free q whose
+ * g = (r - 1 - q) mod 2n is at least f. Then place() walks the rest from
+ * position 2, with those ends in the ends field; a pinned chord opens
+ * through the Close entry [b][p] with p > b, which tests nothing. The
+ * hoisted closes still need no closed test: an interval they would test
+ * that starts after the opener ends at the far end of the chord at r - 1
+ * and holds r, or the positions between that chord's ends, whose partners
+ * lie before the opener. */
 static int census(int n, int k, int root_partner, int shortest, count_t *counts)
 {
     if (n < 0 || n > MAX_CHORDS) {
@@ -363,15 +355,14 @@ static int census(int n, int k, int root_partner, int shortest, count_t *counts)
     }
 
     int top = k < n ? k : n;  /* the level every walk starts from */
-    int folded = !shortest && n >= 3 && 3 <= root_partner && root_partner < size;
-    if (folded && root_partner > n + 1)  /* i -> 2 - i (mod 2n) keeps every level */
+    if (root_partner > n + 1)  /* i -> 2 - i (mod 2n) keeps every level; 2n becomes 2 */
         root_partner = size + 2 - root_partner;
     Py_BEGIN_ALLOW_THREADS
     if (!root_partner)
         place(w, 0, 0, 0, top);
-    else if (root_partner < size || n < 2) {  /* the root chord (1, 2n) crosses nothing */
+    else {
         pin(w, 0, root_partner - 1);
-        if (folded)
+        if (!shortest && root_partner >= 3)
             fold(w, root_partner - 2, top);
         else
             walk_pinned(w, 1, 0, top);

@@ -56,20 +56,22 @@ bring one of them to position 1 and so lie in the class. So the weights
 2n/c over the class sum, at each level, to the diagrams whose shortest
 chord has length l. The closes carry c in the packed state.
 
-A pinned root partner r in 3..2n-1 on n >= 3 chords is folded onto
-itself. The reflection i -> r + 1 - i (mod 2n) fixes the root chord (1, r),
-keeps every crossing and so every level, and swaps positions 2 and r - 1.
-It swaps f = partner(2) - 2, how far the chord at 2 reaches forward, with
+A pinned root partner r > n + 1 is first sent to 2n + 2 - r by the
+reflection i -> 2 - i (mod 2n), which fixes position 1 and keeps every
+crossing. So root partner 2n becomes 2, whose chord (1, 2) closes a proper
+interval at the walk's first close when n >= 2, and root partner 2 keeps
+the plain walk. Every other r, now in 3..n+1, is folded onto itself. The
+reflection i -> r + 1 - i (mod 2n) fixes the root chord (1, r), keeps
+every crossing and so every level, and swaps positions 2 and r - 1. It
+swaps f = partner(2) - 2, how far the chord at 2 reaches forward, with
 g = (r - 1 - partner(r - 1)) mod 2n, how far the chord at r - 1 reaches
 backward. So the fold walks only the diagrams with f <= g, each standing
-for 2, or for 1 when f = g. For r = 3 the two positions coincide and the
-rule reads partner(2) - 2 <= n. A root partner r > n + 1 is first sent to
-2n + 2 - r by the reflection i -> 2 - i, so that r - 1 comes early. The
-fold pins the chord at 2, then the chord at r - 1 at each partner that
-keeps g >= f: one before it at most r - 1 - f, or one after it at most
-2n + r - 1 - f. Then it walks the rest from position 2, with n in the ends
-field when f < g and 0 at a tie. Root partners 2 and 2n, and n <= 2, keep
-the plain walk.
+for 2, or for 1 when f = g. It pins the chord at 2 and reads g one way.
+When that chord already places the one at r - 1 (r = 3, where the two
+positions coincide, or the chord (2, r - 1)), it walks if g >= f.
+Otherwise it pins the chord at r - 1 to each free q whose
+g = (r - 1 - q) mod 2n is at least f. Then it walks the rest from position
+2, with n in the ends field when f < g and 0 at a tie.
 
 Every walk leaves the same leaf: ``visit(partner, level, ends)``. A leaf
 with ``ends`` e >= 1 stands for 2n/e diagrams, and one with ``ends`` 0 for
@@ -212,9 +214,6 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> No
     visited unless a closed hit there shows it disconnected. Both partner
     entries are restored before ``place`` returns.
 
-    A root chord to position 2n crosses no chord, so for n >= 2 every
-    diagram of that partition is disconnected and the walk returns at once.
-
     A ``shortest`` of l in 1..n walks class l instead: root partner l + 1,
     and only the diagrams with no chord of cyclic length below l, so each
     chord opened at b, the last one too, takes a partner in b+l..b+2n-l.
@@ -222,16 +221,19 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> No
     positions on (mod 2n), which the closes sum in a field above the
     counts; a chord of length n has two such ends.
 
-    A root partner r in 3..2n-1 on n >= 3 chords, with no ``shortest``, is
-    folded: the walk visits only the diagrams of its fold (the module
-    docstring says which), each with ``ends`` n, or 0 when f = g. The
-    chords at positions 2 and r - 1 are pinned before ``place`` starts, and
-    a chord pinned to a later position opens through ``closes[b][p]`` with
-    p > b, which tests nothing. The hoisted run's closed test still cannot
-    fire. An interval it would test that starts after b ends at the far end
-    of the chord at r - 1. It holds r, the root's partner, when that chord
-    runs forward, and otherwise the positions between the chord's ends,
-    which are not adjacent and whose partners lie before b.
+    A root partner r > n + 1 is walked as 2n + 2 - r, whose diagrams are
+    the reflections of r's (the module docstring says why), so root
+    partner 2n on n >= 2 chords visits nothing. A root partner in 3..n+1,
+    given or reflected, with no ``shortest``, is folded: the walk visits
+    only the diagrams of its fold (the module docstring says which), each
+    with ``ends`` n, or 0 when f = g. The chords at positions 2 and r - 1
+    are pinned before ``place`` starts, and a chord pinned to a later
+    position opens through ``closes[b][p]`` with p > b, which tests
+    nothing. The hoisted run's closed test still cannot fire. An interval
+    it would test that starts after b ends at the far end of the chord at
+    r - 1. It holds r, the root's partner, when that chord runs forward,
+    and otherwise the positions between the chord's ends, which are not
+    adjacent and whose partners lie before b.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
@@ -242,13 +244,11 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> No
         if root_partner or not 1 <= shortest <= n:
             raise ValueError(f"a class lies in 1..{n} and fixes the root partner")
         root_partner = shortest + 1
-    fold = not shortest and n >= 3 and 3 <= root_partner < size
-    if fold:
-        root_partner = min(root_partner, size + 2 - root_partner)
+    if root_partner > n + 1:  # i -> 2 - i (mod 2n) keeps every level; 2n becomes 2
+        root_partner = size + 2 - root_partner
+    fold = not shortest and root_partner >= 3
     opens, closes, deeper, first, stop = _tables(n, min(k, n) > 2, shortest)
     shift = size * _width(n)  # the ends field of the state
-    if root_partner == size and n >= 2:  # the root chord (1, 2n) crosses nothing
-        return
     partner = [-1] * size
 
     def place(b: int, c: int, state: int, level: int) -> None:
@@ -336,20 +336,17 @@ def _walk(n: int, root_partner: int, visit, k: int = 2, shortest: int = 0) -> No
             continue
         reach = j - 1
         pin(1, j)
-        if mirror == 1:  # position 1 is its own mirror: g = 2n - f
-            if reach <= n:
-                pinned(2, n * (reach < n))
-        elif j == mirror:  # the chord (1, mirror): g = f
-            pinned(2, 0)
+        if partner[mirror] >= 0:  # r = 3, or the chord (2, r - 1)
+            g = (mirror - partner[mirror]) % size
+            if g >= reach:
+                pinned(2, n * (g > reach))
         else:  # the mirror's partner q, at g = (mirror - q) mod 2n >= f
-            before = range(2, mirror - reach + 1)
-            after = range(mirror + 2, min(size, size + mirror - reach + 1))
-            for q in (*before, *after):
-                if partner[q] < 0:
+            for q in range(2, size):
+                g = (mirror - q) % size
+                if partner[q] < 0 and g >= reach:
                     pin(q, mirror)
-                    pinned(3, n * ((mirror - q) % size > reach))
-                    partner[q] = -1
-            partner[mirror] = -1
+                    pinned(3, n * (g > reach))
+                    partner[q] = partner[mirror] = -1
         partner[j] = -1
 
 
@@ -369,8 +366,8 @@ def class_census(
     entry 0 is the size of the walked set in closed form: (2n-1)!!, or
     (2n-3)!! with a pinned root partner. Levels above n stay 0.
 
-    A ``root_partner`` r in 3..2n-1 on n >= 3 chords folds the partition
-    onto itself by the reflection that fixes its root chord, as the module
+    A ``root_partner`` r other than 2 and 2n folds the partition onto
+    itself by the reflection that fixes its root chord, as the module
     docstring explains.
 
     A ``shortest`` of l in 1..n counts, for j >= 1, the j-connected

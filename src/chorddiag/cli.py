@@ -38,10 +38,9 @@ ORDER_CAP_ENV_VAR = "CHORDDIAG_ORDER_CAP"
 SERIES_CSV_HEADER = ["index", "num", "den"]
 CLASS_K = {"all": 0, "connected": 1, "2connected": 2}
 # the families with an alien image: their image builder and exact series builder
-# (C2's series starts at order 2)
 IMAGE_FAMILIES = {
     "C": (alien.alien_connected, gf.series_connected),
-    "C2": (alien.alien_two_connected, lambda order: gf.series_two_connected(max(order, 2))),
+    "C2": (alien.alien_two_connected, gf.series_two_connected),
 }
 
 
@@ -198,7 +197,7 @@ def cmd_estimate(args) -> int:
     order = max(args.terms - 1, 1)
     image_of, series_of = IMAGE_FAMILIES[args.family]
     image = image_of(order)
-    exact_series = series_of(args.n_to)
+    exact_series = series_of(max(args.n_to, 2))  # an order both builders accept
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = asymptotics.error_table(

@@ -13,13 +13,12 @@ is matched first, partners tried left to right), skip the same disconnected
 subtrees and read connectivity off the intervals of positions, as
 ``_census_py`` explains. A census of every diagram on n >= 2 chords walks
 one rotation class per shortest chord length. A census pinned to one root
-partner r walks that partition alone; for r in 3..2n-1 on n >= 3 chords
-the kernel folds it onto itself by the reflection that fixes the root
-chord. Both count their diagrams by the kernels' one leaf rule, which
-``_census_py`` states. The decomposition-case census drives the
-pure-Python walker, so it visits only the connected diagrams, and runs the
-same start-1 witness sweep as ``decompose_connected`` on each one that has
-a cut chord.
+partner r walks that partition alone; for every r but 2 and 2n the kernel
+folds it onto itself by the reflection that fixes the root chord. Both
+count their diagrams by the kernels' one leaf rule, which ``_census_py``
+states. The decomposition-case census drives the pure-Python walker, so it
+visits only the connected diagrams, and runs the same start-1 witness
+sweep as ``decompose_connected`` on each one that has a cut chord.
 """
 
 from __future__ import annotations
@@ -125,8 +124,11 @@ class ChordDiagram:
     @classmethod
     def from_text(cls, text: str) -> "ChordDiagram":
         head, _, body = text.partition(":")
-        n = int(head.strip())
-        values = [int(tok) for tok in body.split()]
+        try:
+            n = int(head)
+            values = [int(tok) for tok in body.split()]
+        except ValueError:
+            raise ValueError(f"diagram text must read 'n: p1 ... p2n', got {text!r}") from None
         if len(values) != 2 * n:
             raise ValueError(f"expected {2 * n} partners, got {len(values)}")
         return cls(values)
@@ -504,9 +506,9 @@ def _census(
     class l gives the diagrams at each level j >= 1 whose shortest chord has
     length l. Their sums are the census, and level 0 holds all (2n-1)!!.
     A fixed ``root_partner`` walks its own partition, which the kernel
-    folds onto itself by the reflection that fixes the root chord for a
-    root partner in 3..2n-1 on n >= 3 chords (``_census_py`` explains).
-    n <= 1 keeps the plain walk, and so does ``case_census``: whether a
+    folds onto itself by the reflection that fixes the root chord unless
+    the root partner is 2 or 2n (``_census_py`` explains). The census
+    keeps the plain walk for n <= 1, and so does ``case_census``: whether a
     diagram is root-covered depends on position 1, so that count is not
     rotation-invariant. A k-connected diagram has at least k chords, so a
     k above both n and 2 (``class_census`` asks k = 2 of every n) gives

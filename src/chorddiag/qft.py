@@ -185,12 +185,16 @@ class QedGraph(namedtuple("QedGraph", ["path_length", "photons", "root_position"
         tokens = body.split()
         if not tokens or not tokens[-1].startswith("r"):
             raise ValueError("graph text must end with the root marker rK")
-        root = int(tokens[-1][1:])
-        photons = []
-        for token in tokens[:-1]:
-            u, _, v = token.partition("-")
-            photons.append((int(u), int(v)))
-        return cls(int(head), photons, root)
+        try:
+            root = int(tokens[-1][1:])
+            photons = []
+            for token in tokens[:-1]:
+                u, _, v = token.partition("-")
+                photons.append((int(u), int(v)))
+            length = int(head)
+        except ValueError:
+            raise ValueError(f"graph text must read 'L: u-v ... rK', got {text!r}") from None
+        return cls(length, photons, root)
 
 
 _new_tuple = tuple.__new__  # what QedGraph._make calls, without its length check

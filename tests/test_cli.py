@@ -473,6 +473,16 @@ class TestEstimate:
         ]
         assert "UserWarning" not in result.stderr and ".py:" not in result.stderr
 
+    @pytest.mark.parametrize("family", ["C", "C2"])
+    def test_empty_range_gives_one_message_for_both_families(self, capsys, family):
+        code, out, err = run(
+            capsys, "estimate", "--family", family, "--n-from", "0", "--n-to", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: the normalized error needs n > terms for every row, got n = 0 with terms = 6"
+        ]
+
     @pytest.mark.parametrize("terms", ["0", "-2"])
     def test_terms_validation(self, capsys, monkeypatch, terms):
         from chorddiag import alien
@@ -594,6 +604,11 @@ class TestQft:
         code, out, _ = run(capsys, "qft", "--graph-of", "2: 3 4 1 2")
         assert code == 0
         assert out.strip() == "3: 1-3 r2"
+
+    def test_graph_of_malformed_text_names_the_form(self, capsys):
+        code, out, err = run(capsys, "qft", "--graph-of", "bad")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: diagram text must read 'n: p1 ... p2n', got 'bad'"]
 
     def test_phi3_json(self, capsys):
         code, out, _ = run(capsys, "qft", "--order", "1", "--format", "json")

@@ -113,6 +113,18 @@ class TestChordDiagram:
         with pytest.raises(ValueError, match="expected 4 partners"):
             ChordDiagram.from_text("2: 3 4 1")
 
+    @pytest.mark.parametrize("text", ["bad", "2: 3 4 1 x", "two: 3 4 1 2", "3 4 1 2"])
+    def test_malformed_text_names_the_form(self, text):
+        with pytest.raises(ValueError) as caught:
+            ChordDiagram.from_text(text)
+        assert str(caught.value) == f"diagram text must read 'n: p1 ... p2n', got {text!r}"
+
+    def test_text_with_an_invalid_pairing_rejected(self):
+        with pytest.raises(ValueError, match="not an involution at position 1"):
+            ChordDiagram.from_text("2: 3 1 4 2")
+        with pytest.raises(ValueError, match="position 1 is matched with itself"):
+            ChordDiagram.from_text("1: 1 2")
+
 
 class TestEnumeration:
     def test_single_chord(self):
@@ -537,8 +549,8 @@ class TestCensusBackends:
                 partner = tuple(q - 1 for q in d.pairing)
                 if connected(partner):
                     top[partner] = graph_level(d, n + 1)
-            # the root partners that keep the plain pinned walk
-            plain = (2, 2 * n) if n >= 3 else range(2, 2 * n + 1)
+            # r = 2 walks plain, and 2n is its reflection
+            plain = {2, 2 * n}
             for k in (1, 2, 3, n + 1):
                 expected = tuple((partner, min(level, k)) for partner, level in top.items())
                 assert unpinned_leaves(n, k) == expected, (n, k)  # in enumeration order
@@ -550,7 +562,7 @@ class TestCensusBackends:
                         leaves.append((tuple(partner), level))
 
                     _census_py._walk(n, rp, visit, k)
-                    part = [leaf for leaf in expected if leaf[0][0] == rp - 1]
+                    part = [leaf for leaf in expected if leaf[0][0] == 1]
                     assert leaves == part, (n, rp, k)
         assert len(top) == 2830  # n = 6
 
@@ -629,7 +641,7 @@ class TestCensusBackends:
 
     def test_fold_visits_the_diagrams_with_f_at_most_g(self):
         # i -> r+1-i fixes the root chord (1, r) and swaps f and g
-        for n in range(3, 7):
+        for n in range(2, 7):
             for rp in range(3, 2 * n):
                 mirrored = min(rp, 2 * n + 2 - rp)
                 expected = {}

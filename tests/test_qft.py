@@ -170,6 +170,20 @@ class TestGraphMapping:
         assert bare.to_text() == "1: r1"
         assert QedGraph.from_text("1: r1") == bare
 
+    @pytest.mark.parametrize("text", ["x: 1-3 r2", "3: 1-x r2", "3: 1 r2", "3: 1-3 rx"])
+    def test_malformed_text_names_the_form(self, text):
+        with pytest.raises(ValueError) as caught:
+            QedGraph.from_text(text)
+        assert str(caught.value) == f"graph text must read 'L: u-v ... rK', got {text!r}"
+
+    def test_text_with_an_invalid_graph_rejected(self):
+        with pytest.raises(ValueError, match="root marker"):
+            QedGraph.from_text("3: 1-3")
+        with pytest.raises(ValueError, match="leaves the path"):
+            QedGraph.from_text("3: 1-4 r2")
+        with pytest.raises(ValueError, match="exactly one photon endpoint"):
+            QedGraph.from_text("3: 1-2 r2")
+
     def test_round_trip_exhaustive(self):
         for n in range(1, 6):
             for diagram in enumerate_diagrams(n):
