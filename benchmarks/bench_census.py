@@ -35,9 +35,8 @@ def time_call(fn, n: int) -> tuple[float, tuple]:
 
 def expected_counts(n: int) -> tuple[int, int, int]:
     """(all, connected, 2-connected) on n chords, read off the series."""
-    order = max(n, 2)
     return tuple(
-        int(series(order)[n])
+        int(series(n)[n])
         for series in (gf.series_all_diagrams, gf.series_connected, gf.series_two_connected)
     )
 

@@ -130,10 +130,7 @@ def alien_connected(order: int) -> AsymptoticImage:
     2f'/f = rho with x^2/C^2 = 1 - 2x + x^2 * rho, so it is one scaled
     exponential of rho with weight 2.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    series = _connected_image.grow(order)[-1]
-    return AsymptoticImage(Fraction(-1), -1, PowerSeries._of(tuple(series[: order + 1])))
+    return AsymptoticImage(Fraction(-1), -1, _connected_image.series(order))
 
 
 def _extend_two_connected_image(order: int, *rows: list) -> None:
@@ -156,10 +153,7 @@ def alien_two_connected(order: int) -> AsymptoticImage:
     is one scaled exponential of rho with weight 2. The series starts
     1 - 6x - 4x^2 - 218/3 x^3 - 890 x^4 - 196838/15 x^5 - ...
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    series = _two_connected_image.grow(order)[-1]
-    return AsymptoticImage(Fraction(-2), -1, PowerSeries._of(tuple(series[: order + 1])))
+    return AsymptoticImage(Fraction(-2), -1, _two_connected_image.series(order))
 
 
 def alien_product(

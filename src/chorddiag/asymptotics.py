@@ -271,7 +271,7 @@ def probability_check(n: int, digits: int = 30) -> ProbabilityCheck:
         raise ValueError("n must be at least 1")
     if digits < 1:
         raise ValueError("digits must be positive")
-    exact = gf.series_two_connected(max(n, 2))[n] if n >= 2 else 0
+    exact = gf.series_two_connected(n)[n]
     ratio = Fraction(exact, gf.double_factorial_odd(n))
     work = digits + GUARD_DIGITS
     e_minus_2 = _exp_fraction(Fraction(-2), work)

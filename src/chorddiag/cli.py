@@ -7,10 +7,12 @@ or precondition error.
 
 The enumeration cap defaults to 8 chords; the environment variable
 CHORDDIAG_CAP raises it (at most 10 -- (2*10-1)!! is about 6.5e8 matchings).
-The orders that series, alien, estimate and qft compute (--order, --terms
-and --n-to) are capped at 850, where the slowest of them, an alien image,
-takes about 10 s as a cold process; CHORDDIAG_ORDER_CAP raises or lowers
-the cap. The library functions and verify --order are not capped.
+Every family and image takes any order from 0 to the cap. The orders that
+series, alien, estimate and qft compute (--order, --terms and --n-to) are
+capped at 850, where the slowest of them, an alien image, takes about 10 s
+as a cold process; estimate --digits has the same cap, as its cost grows
+4-5 fold with each doubling of the digits. CHORDDIAG_ORDER_CAP raises or
+lowers the cap. The library functions and verify --order are not capped.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.format != "plain" and not args.count_only:
+        raise UsageError(f"--format {args.format} needs --count-only; diagrams list as plain text")
     cap = configured_cap()
     n, cls = args.chords, args.cls
     if cls in CLASS_K:
@@ -194,10 +198,10 @@ def cmd_estimate(args) -> int:
         raise UsageError("--n-to must not be below --n-from")
     _check_order("--terms", args.terms)
     _check_order("--n-to", args.n_to)
-    order = max(args.terms - 1, 1)
+    _check_order("--digits", args.digits)
     image_of, series_of = IMAGE_FAMILIES[args.family]
-    image = image_of(order)
-    exact_series = series_of(max(args.n_to, 2))  # an order both builders accept
+    image = image_of(args.terms - 1)
+    exact_series = series_of(args.n_to)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = asymptotics.error_table(

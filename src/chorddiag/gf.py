@@ -25,7 +25,10 @@ which sum them, and S has its own) and served as int PowerSeries with no
 conversion. Each family keeps one list (a ``GrowOnly`` cache), extended in
 place when a larger order is asked for: every coefficient depends only on
 earlier ones, so a smaller order is served as a prefix of the list and a
-larger one computes only the coefficients it adds.
+larger one computes only the coefficients it adds. So every family and
+both alien images take any order n >= 0 and serve coefficients 0..n, the
+leading zeros included (C_0 = 0, C2_0 = C2_1 = 0); ``GrowOnly`` rejects a
+negative order, the one order check of every builder.
 PowerSeries values are immutable, so results are safe to share.
 """
 
@@ -50,8 +53,9 @@ class GrowOnly:
     half-grown is kept. As with ``functools.lru_cache``, ``cache_info()``
     counts a hit for a request served without growing and a miss for one
     that grew the lists; ``currsize`` is the length of the served list.
-    ``cache_clear()`` goes back to the seeds and zero counts. A lock makes
-    each request atomic, so threads may share the cache.
+    A negative order raises ``ValueError``. ``cache_clear()`` goes back to
+    the seeds and zero counts. A lock makes each request atomic, so threads
+    may share the cache.
     """
 
     def __init__(self, extend, *seeds: list):
@@ -74,6 +78,8 @@ class GrowOnly:
             return self._grown(order)
 
     def _grown(self, order: int) -> tuple[list, ...]:
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         lists = self._lists
         if order < len(lists[-1]):
             self._hits += 1
@@ -121,8 +127,6 @@ _all_diagrams = GrowOnly(_extend_all_diagrams, [1])
 @_all_diagrams.serves
 def series_all_diagrams(order: int) -> PowerSeries:
     """D: coefficient n counts all rooted diagrams on n chords, (2n-1)!!."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     return _all_diagrams.series(order)
 
 
@@ -152,8 +156,6 @@ def series_connected(order: int) -> PowerSeries:
     the coefficient form of 2xCC' = C(1+C) - x. The sum is symmetric in i
     and n-i, so ``_pair_sum`` takes half of it.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
     return _connected.series(order)
 
 
@@ -172,8 +174,6 @@ _connected_sq_div_x = GrowOnly(_extend_connected_sq_div_x, [0])
 @_connected_sq_div_x.serves
 def connected_sq_div_x(order: int) -> PowerSeries:
     """C^2/x relates connected and 2-connected counts; its x^k term is C_{k+1}/k."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     return _connected_sq_div_x.series(order)
 
 
@@ -201,24 +201,22 @@ def series_two_connected(order: int) -> PowerSeries:
     only up to y_{m-1}, so each coefficient costs one convolution of
     integers; ``two_connected_sq`` serves the P_k, kept one index ahead.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
     return _two_connected.series(order)
 
 
-@_two_connected.serves
 def two_connected_sq(order: int) -> PowerSeries:
-    """C2^2, the P_k of C2's recurrence; order n grows C2 to n - 1."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    p = _two_connected.grow(max(order - 1, 2))[0]
+    """C2^2, the P_k of C2's recurrence; order n >= 1 grows C2 to n - 1.
+
+    It shares C2's cache, whose growth counts as misses of
+    ``series_two_connected``, so it carries no cache methods of its own.
+    A negative order asks the cache for a negative one, which it refuses.
+    """
+    p = _two_connected.grow(order - 1 if order else 0)[0]
     return PowerSeries._of(tuple(p[: order + 1]))
 
 
 def series_connectivity_one(order: int) -> PowerSeries:
     """C1 = C - C2: connected diagrams that a single removal can disconnect."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
     c = _connected.grow(order)[0]
     y = _two_connected.grow(order)[-1]
     return PowerSeries([c[n] - y[n] for n in range(order + 1)])
@@ -240,8 +238,6 @@ def series_two_connected_sequences(order: int) -> PowerSeries:
     whose coefficients, symmetrised, give S_0 = S_1 = 1 and
     S_m = S_{m-1} + (m-1) * sum(S_i * S_{m-i}, i=1..m-1): S grows no C2.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
     return _sequences.series(order)
 
 

@@ -60,6 +60,20 @@ class TestSeries:
         assert lines[0] == "index,num,den"
         assert lines[1:] == ["0,0,1", "1,1,1", "2,0,1", "3,3,1", "4,20,1"]
 
+    @pytest.mark.parametrize(
+        "family, order, expected", [("C", "0", "0"), ("C2", "1", "0, 0"), ("D", "0", "1")]
+    )
+    def test_every_order_from_zero(self, capsys, family, order, expected):
+        assert run(capsys, "series", "--family", family, "--order", order) == (
+            0, expected + "\n", "",
+        )
+
+    @pytest.mark.parametrize("family", sorted(gf.FAMILIES))
+    def test_negative_order_exits_2(self, capsys, family):
+        assert run(capsys, "series", "--family", family, "--order", "-1") == (
+            2, "", "error: order must be nonnegative\n",
+        )
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["series", "--family", "X"])
@@ -161,6 +175,18 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--chords", "2", "--class", "all")
         assert code == 0
         assert out.splitlines() == ["2: 2 1 4 3", "2: 3 4 1 2", "2: 4 3 2 1"]
+
+    def test_plain_listing_is_the_default(self, capsys):
+        listed = run(capsys, "enumerate", "--chords", "2")
+        assert run(capsys, "enumerate", "--chords", "2", "--format", "plain") == listed
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_listing_in_another_format_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "enumerate", "--chords", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: --format {fmt} needs --count-only; diagrams list as plain text"
+        ]
 
     def test_cap_exceeded(self, capsys):
         for extra in (["--count-only"], []):
@@ -398,6 +424,14 @@ class TestAlien:
         assert "e^-1" in out
         assert "1, -5/2, -43/8, -579/16" in out
 
+    @pytest.mark.parametrize("family", ["C", "C2"])
+    def test_order_zero(self, capsys, family):
+        code, out, _ = run(
+            capsys, "alien", "--family", family, "--order", "0", "--format", "plain"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "1"
+
 
 class TestEstimate:
     def test_leading_term_row(self, capsys):
@@ -483,6 +517,14 @@ class TestEstimate:
             "error: the normalized error needs n > terms for every row, got n = 0 with terms = 6"
         ]
 
+    @pytest.mark.parametrize("family", ["C", "C2"])
+    def test_negative_range_gives_one_message_for_both_families(self, capsys, family):
+        code, out, err = run(
+            capsys, "estimate", "--family", family, "--n-from", "-3", "--n-to", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: order must be nonnegative"]
+
     @pytest.mark.parametrize("terms", ["0", "-2"])
     def test_terms_validation(self, capsys, monkeypatch, terms):
         from chorddiag import alien
@@ -516,7 +558,7 @@ class TestEstimate:
 CAPPED_ORDERS = {
     "series": ["--order"],
     "alien": ["--order"],
-    "estimate": ["--terms", "--n-to"],
+    "estimate": ["--terms", "--n-to", "--digits"],
     "qft": ["--order"],
 }
 
@@ -528,6 +570,7 @@ class TestOrderCap:
         ["estimate", "--n-from", "3", "--n-to", "5", "--terms"],
         ["estimate", "--terms", "2", "--n-from", "3", "--n-to"],
         ["qft", "--order"],
+        ["estimate", "--n-from", "20", "--n-to", "20", "--digits"],
     ]
 
     @pytest.mark.parametrize("line", ORDER_LINES)
@@ -547,9 +590,11 @@ class TestOrderCap:
         [
             (["series", "--family", "S", "--order", "6"], "--order"),
             (["alien", "--family", "C2", "--order", "6"], "--order"),
-            (["estimate", "--terms", "6", "--n-from", "7", "--n-to", "7"], "--terms"),
-            (["estimate", "--terms", "2", "--n-from", "6", "--n-to", "6"], "--n-to"),
+            # --digits takes the same cap, so these lines keep it below the cap
+            (["estimate", "--digits", "5", "--terms", "6", "--n-from", "7", "--n-to", "7"], "--terms"),
+            (["estimate", "--digits", "5", "--terms", "2", "--n-from", "6", "--n-to", "6"], "--n-to"),
             (["qft", "--order", "6"], "--order"),
+            (["estimate", "--terms", "2", "--n-from", "3", "--n-to", "3", "--digits", "6"], "--digits"),
         ],
     )
     def test_the_variable_lowers_and_raises_the_cap(self, capsys, monkeypatch, line, option):

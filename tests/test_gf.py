@@ -226,26 +226,26 @@ class TestOracleParity:
             assert census["2connected"] == c2[n]
 
 
-# Every public builder with a grow-only cache, and the least order each takes.
+# Every public builder with a grow-only cache; each takes any order >= 0.
 CACHED = {
-    "D": (gf.series_all_diagrams, 0),
-    "C": (gf.series_connected, 1),
-    "C^2/x": (gf.connected_sq_div_x, 0),
-    "C2": (gf.series_two_connected, 2),
-    "S": (gf.series_two_connected_sequences, 1),
-    "image C": (alien.alien_connected, 1),
-    "image C2": (alien.alien_two_connected, 0),
+    "D": gf.series_all_diagrams,
+    "C": gf.series_connected,
+    "C^2/x": gf.connected_sq_div_x,
+    "C2": gf.series_two_connected,
+    "S": gf.series_two_connected_sequences,
+    "image C": alien.alien_connected,
+    "image C2": alien.alien_two_connected,
 }
 # C1 reads the caches of C and C2, and C2^2 shares the cache of C2.
 BUILDERS = {
     **CACHED,
-    "C1": (gf.series_connectivity_one, 1),
-    "C2^2": (gf.two_connected_sq, 0),
+    "C1": gf.series_connectivity_one,
+    "C2^2": gf.two_connected_sq,
 }
 
 
 def clear_all_caches():
-    for build, _ in CACHED.values():
+    for build in CACHED.values():
         build.cache_clear()
 
 
@@ -268,14 +268,37 @@ class TestGrowOnly:
     @settings(max_examples=60, deadline=None)
     def test_any_order_sequence_gives_prefixes_of_cold_results(self, calls):
         clear_all_caches()
-        calls = [(name, max(order, BUILDERS[name][1])) for name, order in calls]
-        results = [BUILDERS[name][0](order) for name, order in calls]
+        results = [BUILDERS[name](order) for name, order in calls]
         for (name, order), result in zip(calls, results):
             top = max(o for n, o in calls if n == name)
-            assert result == truncated(BUILDERS[name][0](top), order), (name, order)
+            assert result == truncated(BUILDERS[name](top), order), (name, order)
         for (name, order), result in zip(calls, results):
             clear_all_caches()
-            assert result == BUILDERS[name][0](order), (name, order)
+            assert result == BUILDERS[name](order), (name, order)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_order_from_zero_is_a_prefix(self, name):
+        build = BUILDERS[name]
+        clear_all_caches()
+        top = build(10)
+        for order in (0, 1, 2):
+            assert build(order) == truncated(top, order), order
+            clear_all_caches()
+            assert build(order) == truncated(top, order), order
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            build(-1)
+
+    def test_leading_zeros_are_served(self):
+        assert gf.series_connected(0).coefficients == (0,)
+        assert gf.series_two_connected(1).coefficients == (0, 0)
+        assert gf.series_connectivity_one(0).coefficients == (0,)
+        assert gf.two_connected_sq(0).coefficients == (0,)
+
+    def test_a_negative_order_is_refused_before_any_growth(self):
+        clear_all_caches()
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            gf._connected.grow(-1)
+        assert gf.series_connected.cache_info() == (0, 0, None, 2)
 
     def test_served_series_are_the_cached_ints(self):
         caches = {
@@ -347,13 +370,13 @@ class TestGrowOnly:
 
     def test_cache_info_counts_a_miss_exactly_when_the_list_grows(self):
         clear_all_caches()
-        for name, (build, least) in CACHED.items():
+        for name, build in CACHED.items():
             info = build.cache_info()
             assert (info.hits, info.misses, info.maxsize) == (0, 0, None), name
             assert info.currsize == {"D": 1, "C": 2, "C^2/x": 1, "C2": 3, "S": 2}.get(name, 0), name  # seeds
             for order in (5, 3, 5, 9, 9, 12, 2, 12):
                 before = build.cache_info()
-                build(max(order, least))
+                build(order)
                 after = build.cache_info()
                 grew = after.currsize > before.currsize
                 assert after.misses - before.misses == grew, (name, order)
@@ -367,10 +390,21 @@ class TestGrowOnly:
         assert gf.series_connected.cache_info()[:2] == (1, 2)
         assert gf.connected_sq_div_x.cache_info() == (0, 2, None, 12)
 
+    def test_two_connected_sq_counts_in_the_cache_of_c2_alone(self):
+        assert not hasattr(gf.two_connected_sq, "cache_info")
+        assert not hasattr(gf.two_connected_sq, "cache_clear")
+        clear_all_caches()
+        gf.two_connected_sq(3)  # P_0..P_3 need C2 to index 2, the seeds
+        assert gf.series_two_connected.cache_info() == (1, 0, None, 3)
+        gf.two_connected_sq(11)  # grows C2 to index 10
+        assert gf.series_two_connected.cache_info() == (1, 1, None, 11)
+        gf.series_two_connected(10)
+        assert gf.series_two_connected.cache_info() == (2, 1, None, 11)
+
     def test_builders_behind_plain_wrappers(self, monkeypatch):
         # a tracer rebinds every public builder to a plain wrapper, with no
         # cache methods; the families and images must build through those
-        expected = {name: build(25) for name, (build, _) in BUILDERS.items()}
+        expected = {name: build(25) for name, build in BUILDERS.items()}
         for attr in (
             "series_all_diagrams",
             "series_connected",
@@ -395,7 +429,7 @@ class TestGrowOnly:
         assert alien.alien_two_connected(25) == expected["image C2"]
 
     def test_threads_share_the_caches(self):
-        expected = {name: build(60) for name, (build, _) in BUILDERS.items()}
+        expected = {name: build(60) for name, build in BUILDERS.items()}
         clear_all_caches()
         failures = []
 
@@ -404,10 +438,10 @@ class TestGrowOnly:
             try:
                 for _ in range(400):
                     name = rng.choice(sorted(BUILDERS))
-                    order = rng.randint(BUILDERS[name][1], 60)
+                    order = rng.randint(0, 60)
                     if name in CACHED and rng.random() < 0.1:
-                        CACHED[name][0].cache_clear()
-                    if BUILDERS[name][0](order) != truncated(expected[name], order):
+                        CACHED[name].cache_clear()
+                    if BUILDERS[name](order) != truncated(expected[name], order):
                         failures.append((name, order))
             except Exception as exc:  # reported through failures
                 failures.append(repr(exc))
