@@ -10,9 +10,10 @@ CHORDDIAG_CAP raises it (at most 10 -- (2*10-1)!! is about 6.5e8 matchings).
 Every family and image takes any order from 0 to the cap. The orders that
 series, alien, estimate and qft compute (--order, --terms and --n-to) are
 capped at 850, where the slowest of them, an alien image, takes about 10 s
-as a cold process; estimate --digits has the same cap, as its cost grows
+as a cold process. estimate --digits is capped at 100 digits per unit of
+that cap (85,000 by default), where it too takes about 10 s: its cost grows
 4-5 fold with each doubling of the digits. CHORDDIAG_ORDER_CAP raises or
-lowers the cap. The library functions and verify --order are not capped.
+lowers both caps. The library functions and verify --order are not capped.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ DEFAULT_CAP = oracle.DEFAULT_CAP
 HARD_CAP = oracle.HARD_CAP
 CAP_ENV_VAR = "CHORDDIAG_CAP"
 DEFAULT_ORDER_CAP = 850
+DIGITS_PER_ORDER = 100
 ORDER_CAP_ENV_VAR = "CHORDDIAG_ORDER_CAP"
 SERIES_CSV_HEADER = ["index", "num", "den"]
 CLASS_K = {"all": 0, "connected": 1, "2connected": 2}
@@ -72,12 +74,12 @@ def configured_cap() -> int:
     return _env_cap(CAP_ENV_VAR, DEFAULT_CAP, HARD_CAP)
 
 
-def _check_order(option: str, value: int) -> None:
-    """Refuse a series order above the configured order cap."""
-    cap = _env_cap(ORDER_CAP_ENV_VAR, DEFAULT_ORDER_CAP)
+def _check_order(option: str, value: int, per_order: int = 1, what: str = "order") -> None:
+    """Refuse a value above ``per_order`` times the configured order cap."""
+    cap = per_order * _env_cap(ORDER_CAP_ENV_VAR, DEFAULT_ORDER_CAP)
     if value > cap:
         raise UsageError(
-            f"{option} {value} exceeds the order cap of {cap}; "
+            f"{option} {value} exceeds the {what} cap of {cap}; "
             f"set {ORDER_CAP_ENV_VAR} to raise it"
         )
 
@@ -198,7 +200,7 @@ def cmd_estimate(args) -> int:
         raise UsageError("--n-to must not be below --n-from")
     _check_order("--terms", args.terms)
     _check_order("--n-to", args.n_to)
-    _check_order("--digits", args.digits)
+    _check_order("--digits", args.digits, DIGITS_PER_ORDER, "digits")
     image_of, series_of = IMAGE_FAMILIES[args.family]
     image = image_of(args.terms - 1)
     exact_series = series_of(args.n_to)

@@ -15,7 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chorddiag import gf, oracle, qft
-from chorddiag.cli import DEFAULT_ORDER_CAP, _emit_series, build_parser, main
+from chorddiag.cli import (
+    DEFAULT_ORDER_CAP,
+    DIGITS_PER_ORDER,
+    _emit_series,
+    build_parser,
+    main,
+)
 from chorddiag.series import PowerSeries, series_from_json_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -554,12 +560,13 @@ class TestEstimate:
         assert "digits must be positive" in err
 
 
-# the options that set a series or image order, by command
+# the options that the order cap bounds, by command, with their default caps
+DEFAULT_DIGITS_CAP = DIGITS_PER_ORDER * DEFAULT_ORDER_CAP
 CAPPED_ORDERS = {
-    "series": ["--order"],
-    "alien": ["--order"],
-    "estimate": ["--terms", "--n-to", "--digits"],
-    "qft": ["--order"],
+    "series": {"--order": DEFAULT_ORDER_CAP},
+    "alien": {"--order": DEFAULT_ORDER_CAP},
+    "estimate": {"--terms": DEFAULT_ORDER_CAP, "--n-to": DEFAULT_ORDER_CAP, "--digits": DEFAULT_DIGITS_CAP},
+    "qft": {"--order": DEFAULT_ORDER_CAP},
 }
 
 
@@ -570,7 +577,6 @@ class TestOrderCap:
         ["estimate", "--n-from", "3", "--n-to", "5", "--terms"],
         ["estimate", "--terms", "2", "--n-from", "3", "--n-to"],
         ["qft", "--order"],
-        ["estimate", "--n-from", "20", "--n-to", "20", "--digits"],
     ]
 
     @pytest.mark.parametrize("line", ORDER_LINES)
@@ -590,11 +596,9 @@ class TestOrderCap:
         [
             (["series", "--family", "S", "--order", "6"], "--order"),
             (["alien", "--family", "C2", "--order", "6"], "--order"),
-            # --digits takes the same cap, so these lines keep it below the cap
-            (["estimate", "--digits", "5", "--terms", "6", "--n-from", "7", "--n-to", "7"], "--terms"),
-            (["estimate", "--digits", "5", "--terms", "2", "--n-from", "6", "--n-to", "6"], "--n-to"),
+            (["estimate", "--terms", "6", "--n-from", "7", "--n-to", "7"], "--terms"),
+            (["estimate", "--terms", "2", "--n-from", "6", "--n-to", "6"], "--n-to"),
             (["qft", "--order", "6"], "--order"),
-            (["estimate", "--terms", "2", "--n-from", "3", "--n-to", "3", "--digits", "6"], "--digits"),
         ],
     )
     def test_the_variable_lowers_and_raises_the_cap(self, capsys, monkeypatch, line, option):
@@ -606,6 +610,25 @@ class TestOrderCap:
         ]
         monkeypatch.setenv("CHORDDIAG_ORDER_CAP", "7")
         assert run(capsys, *line)[0] == 0
+
+    def test_digits_are_capped_at_100_per_unit_of_the_order_cap(self, capsys, monkeypatch):
+        line = ["estimate", "--terms", "2", "--n-from", "3", "--n-to", "3", "--digits"]
+        monkeypatch.delenv("CHORDDIAG_ORDER_CAP", raising=False)
+        assert run(capsys, *line, str(DEFAULT_ORDER_CAP + 1))[0] == 0
+        code, out, err = run(capsys, *line, str(DEFAULT_DIGITS_CAP + 1))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: --digits {DEFAULT_DIGITS_CAP + 1} exceeds the digits cap of "
+            f"{DEFAULT_DIGITS_CAP}; set CHORDDIAG_ORDER_CAP to raise it"
+        ]
+        monkeypatch.setenv("CHORDDIAG_ORDER_CAP", "3")
+        assert run(capsys, *line[:-1])[0] == 0  # the default --digits fits under any cap
+        assert run(capsys, *line, "300")[0] == 0
+        code, out, err = run(capsys, *line, "301")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: --digits 301 exceeds the digits cap of 300; set CHORDDIAG_ORDER_CAP to raise it"
+        ]
 
     @pytest.mark.parametrize("raw", ["x", "0", "-3", ""])
     def test_a_bad_value_exits_2_naming_the_variable(self, capsys, monkeypatch, raw):
@@ -695,19 +718,23 @@ class TestQft:
         assert line.startswith("error:")
 
 
-ABOVE_THE_ORDER_CAP = [str(DEFAULT_ORDER_CAP + 1), str(10**9)]
+def _above(cap):
+    return [str(cap + 1), str(10**9)]
 
 
-def _option_values(action, capped=False):
+ABOVE_A_CAP = {value for cap in (DEFAULT_ORDER_CAP, DEFAULT_DIGITS_CAP) for value in _above(cap)}
+
+
+def _option_values(action, cap=None):
     """Argument strings for one option: its choices, small integers, or text built from them.
 
-    A ``capped`` order also draws orders above the default order cap.
+    An option with a default ``cap`` also draws values above it.
     """
     numbers = st.integers(-3, 12).map(str)
     if action.choices:
         return st.sampled_from(sorted(action.choices))
-    if capped:
-        return st.one_of(numbers, st.sampled_from(ABOVE_THE_ORDER_CAP))
+    if cap is not None:
+        return st.one_of(numbers, st.sampled_from(_above(cap)))
     if action.type is int:
         return numbers
     return st.one_of(
@@ -738,7 +765,7 @@ def _argv(draw):
         option = action.option_strings[0]
         argv.append(option)
         if action.nargs != 0:
-            argv.append(draw(_option_values(action, option in CAPPED_ORDERS.get(command, ()))))
+            argv.append(draw(_option_values(action, CAPPED_ORDERS.get(command, {}).get(option))))
     return argv
 
 
@@ -761,5 +788,5 @@ class TestExitCodeContract:
         capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert code != 1 or argv[0] == "verify", argv
-        if any(value in ABOVE_THE_ORDER_CAP for value in argv):
+        if any(value in ABOVE_A_CAP for value in argv):
             assert code == 2, argv
